@@ -71,12 +71,14 @@ SubscriptionPtr aoi_subscription(std::uint64_t id, Rng& rng, double world) {
 }
 
 /// Measured pubs/s for `kind` with n_subs spread over n_clients.
+/// LEES runs the paper's scan loop unless `envelope_index`.
 double throughput(EngineKind kind, std::size_t n_subs, std::size_t n_clients,
-                  std::size_t n_pubs) {
+                  std::size_t n_pubs, bool envelope_index = false) {
   constexpr double kWorld = 100.0;
   BenchHost host;
   EngineConfig cfg;
   cfg.kind = kind;
+  cfg.lees_envelope_index = envelope_index;
   const auto engine = make_engine(cfg);
   Rng rng{1234};
   for (std::size_t i = 0; i < n_subs; ++i) {
@@ -116,12 +118,14 @@ int main() {
 
   print_banner("Figure 10(a): throughput vs evolving subscriptions (100 clients)");
   {
-    Table t{{"evolving subs", "VES (pubs/s)", "LEES (pubs/s)", "CLEES (pubs/s)"}};
+    Table t{{"evolving subs", "VES (pubs/s)", "LEES (pubs/s)", "CLEES (pubs/s)",
+             "LEES + envelope index (pubs/s)"}};
     for (const std::size_t n : {250u, 500u, 1000u, 2000u, 4000u}) {
       t.add_row({std::to_string(n),
                  Table::fmt(throughput(EngineKind::kVes, n, 100, 4000), 0),
                  Table::fmt(throughput(EngineKind::kLees, n, 100, 4000), 0),
-                 Table::fmt(throughput(EngineKind::kClees, n, 100, 4000), 0)});
+                 Table::fmt(throughput(EngineKind::kClees, n, 100, 4000), 0),
+                 Table::fmt(throughput(EngineKind::kLees, n, 100, 4000, true), 0)});
     }
     t.print();
     std::cout << "paper: LEES throughput degrades with subscription count; CLEES is\n"
@@ -130,11 +134,13 @@ int main() {
 
   print_banner("Figure 10(b): throughput vs clients (1000 evolving subs)");
   {
-    Table t{{"clients", "subs/client", "LEES (pubs/s)", "CLEES (pubs/s)"}};
+    Table t{{"clients", "subs/client", "LEES (pubs/s)", "CLEES (pubs/s)",
+             "LEES + envelope index (pubs/s)"}};
     for (const std::size_t c : {1u, 10u, 100u, 1000u}) {
       t.add_row({std::to_string(c), std::to_string(1000 / c),
                  Table::fmt(throughput(EngineKind::kLees, 1000, c, 4000), 0),
-                 Table::fmt(throughput(EngineKind::kClees, 1000, c, 4000), 0)});
+                 Table::fmt(throughput(EngineKind::kClees, 1000, c, 4000), 0),
+                 Table::fmt(throughput(EngineKind::kLees, 1000, c, 4000, true), 0)});
     }
     t.print();
     std::cout << "paper: LEES is fastest when subscriptions concentrate on few clients\n"

@@ -37,7 +37,10 @@ class BenchHost final : public EngineHost {
   std::vector<std::pair<SimTime, std::function<void()>>> timers_;
 };
 
-SubscriptionPtr aoi_subscription(std::uint64_t id, Rng& rng) {
+/// A moving area of interest. `mei` is the VES evolution interval and the
+/// LEES envelope window; the default keeps VES timers out of match benches.
+SubscriptionPtr aoi_subscription(std::uint64_t id, Rng& rng,
+                                 Duration mei = Duration::seconds(3600)) {
   const double x = rng.uniform(-100.0, 100.0);
   const double y = rng.uniform(-100.0, 100.0);
   const double dx = rng.uniform(-2, 2);
@@ -53,48 +56,124 @@ SubscriptionPtr aoi_subscription(std::uint64_t id, Rng& rng) {
   sub.add(Predicate{"y", RelOp::kLe, Expr::add(moving(y, dy), Expr::constant(2.0))});
   sub.set_id(SubscriptionId{id});
   sub.set_epoch(SimTime::zero());
-  sub.set_mei(Duration::seconds(3600));  // timer noise off for match benches
+  sub.set_mei(mei);
   sub.set_tt(Duration::seconds(1));
   return std::make_shared<const Subscription>(std::move(sub));
 }
 
-void engine_match_bench(benchmark::State& state, EngineKind kind) {
+/// `n` areas of interest; publications arrive `step` of simulated time
+/// apart. 32 untimed publications first, so the timed ones see the engine's
+/// steady state (first window anchorings, the LEES gap estimate).
+void engine_match_bench(benchmark::State& state, const EngineConfig& cfg, std::size_t n,
+                        Duration mei = Duration::seconds(3600),
+                        Duration step = Duration::micros(100)) {
   BenchHost host;
-  EngineConfig cfg;
-  cfg.kind = kind;
   const auto engine = make_engine(cfg);
   Rng rng{7};
-  const auto n = static_cast<std::size_t>(state.range(0));
   for (std::size_t i = 0; i < n; ++i) {
-    engine->add(aoi_subscription(i + 1, rng), NodeId{i % 100}, host);
+    engine->add(aoi_subscription(i + 1, rng, mei), NodeId{i % 100}, host);
   }
   std::vector<NodeId> dests;
   std::int64_t tick = 0;
-  for (auto _ : state) {
-    host.advance_to(SimTime::from_micros(tick += 100));
+  const auto publish = [&] {
+    host.advance_to(SimTime::from_micros(tick += step.count_micros()));
     Publication pub;
     pub.set("x", rng.uniform(-100.0, 100.0));
     pub.set("y", rng.uniform(-100.0, 100.0));
     dests.clear();
     engine->match(pub, nullptr, host, dests);
     benchmark::DoNotOptimize(dests.size());
-  }
+  };
+  for (int i = 0; i < 32; ++i) publish();
+  const EngineCosts before = engine->costs();
+  for (auto _ : state) publish();
+  const EngineCosts& after = engine->costs();
+  state.counters["evaluations_per_pub"] =
+      benchmark::Counter(static_cast<double>(after.lazy_evaluations - before.lazy_evaluations),
+                         benchmark::Counter::kAvgIterations);
+  state.counters["anchorings_per_pub"] = benchmark::Counter(
+      static_cast<double>(after.anchorings - before.anchorings), benchmark::Counter::kAvgIterations);
 }
 
-void BM_VesMatch(benchmark::State& state) { engine_match_bench(state, EngineKind::kVes); }
-void BM_LeesMatch(benchmark::State& state) { engine_match_bench(state, EngineKind::kLees); }
-void BM_CleesMatch(benchmark::State& state) { engine_match_bench(state, EngineKind::kClees); }
+std::size_t arg(const benchmark::State& state, int i) {
+  return static_cast<std::size_t>(state.range(i));
+}
+
+void BM_VesMatch(benchmark::State& state) {
+  engine_match_bench(state, EngineConfig{.kind = EngineKind::kVes}, arg(state, 0));
+}
+void BM_LeesMatch(benchmark::State& state) {
+  // Args: {subscriptions, envelope index}. 0 is the paper's scan loop; 1
+  // reaches the `t`-only areas through 1 s window envelopes (the MEI).
+  const bool indexed = state.range(1) != 0;
+  engine_match_bench(state,
+                     EngineConfig{.kind = EngineKind::kLees, .lees_envelope_index = indexed},
+                     arg(state, 0), Duration::seconds(1));
+}
+void BM_CleesMatch(benchmark::State& state) {
+  engine_match_bench(state, EngineConfig{.kind = EngineKind::kClees}, arg(state, 0));
+}
 BENCHMARK(BM_VesMatch)->Arg(100)->Arg(1000)->Arg(5000)->Arg(10000);
-BENCHMARK(BM_LeesMatch)->Arg(100)->Arg(1000)->Arg(5000)->Arg(10000);
+BENCHMARK(BM_LeesMatch)
+    ->Args({100, 0})
+    ->Args({1000, 0})
+    ->Args({5000, 0})
+    ->Args({10000, 0})
+    ->Args({10000, 1});
 BENCHMARK(BM_CleesMatch)->Arg(100)->Arg(1000)->Arg(5000)->Arg(10000);
+
+void BM_LeesMatchSparse(benchmark::State& state) {
+  // Args: {subscriptions, publications per 1 s window, mode}. Mode 0 is the
+  // paper's scan loop, 1 the envelope index at any rate, 2 the default (the
+  // index while windows see enough publications, DESIGN.md §18 "Sparse
+  // publications"). Locates where re-anchoring stops paying for itself.
+  const auto per_window = state.range(1);
+  const auto mode = state.range(2);
+  EngineConfig cfg{.kind = EngineKind::kLees, .lees_envelope_index = mode != 0};
+  if (mode == 1) cfg.lees_envelope_min_pubs = 0.0;
+  state.SetLabel(mode == 0 ? "scan" : mode == 1 ? "index" : "default");
+  engine_match_bench(state, cfg, arg(state, 0), Duration::seconds(1),
+                     Duration::micros(1'000'000 / per_window));
+}
+BENCHMARK(BM_LeesMatchSparse)->ArgsProduct({{10000}, {1, 4, 8, 12, 16, 32}, {0, 1, 2}})->Iterations(64);
+
+void BM_LeesReanchor(benchmark::State& state) {
+  // Cost of re-anchoring envelope windows: 1 ms windows, and every
+  // iteration steps the clock a full window, so each publication re-anchors
+  // every part. The publication carries neither key attribute, so no
+  // program runs (the index stays on at this rate: min pubs 0). Items
+  // processed = windows anchored.
+  BenchHost host;
+  const auto engine =
+      make_engine(EngineConfig{.kind = EngineKind::kLees, .lees_envelope_min_pubs = 0.0});
+  Rng rng{7};
+  const auto n = static_cast<std::size_t>(state.range(0));
+  for (std::size_t i = 0; i < n; ++i) {
+    engine->add(aoi_subscription(i + 1, rng, Duration::millis(1)), NodeId{i % 100}, host);
+  }
+  Publication pub;
+  pub.set("z", 0.0);
+  std::vector<NodeId> dests;
+  std::int64_t tick = 0;
+  for (auto _ : state) {
+    host.advance_to(SimTime::from_micros(tick += 1000));
+    dests.clear();
+    engine->match(pub, nullptr, host, dests);
+    benchmark::DoNotOptimize(dests.size());
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(engine->costs().anchorings));
+}
+BENCHMARK(BM_LeesReanchor)->Arg(1000)->Arg(10000);
 
 void engine_sharded_match_bench(benchmark::State& state, EngineKind kind) {
   // Args: {subscriptions, matcher shards}. Same workload as the plain match
   // bench; K=1 is bit-identical to it, higher K adds the fork/join (and, on
-  // hosts with free cores, the parallel-section win).
+  // hosts with free cores, the parallel-section win). LEES runs the paper's
+  // scan loop.
   BenchHost host;
   EngineConfig cfg;
   cfg.kind = kind;
+  cfg.lees_envelope_index = false;
   cfg.matcher_threads = static_cast<std::size_t>(state.range(1));
   const auto engine = make_engine(cfg);
   Rng rng{7};
@@ -142,10 +221,12 @@ BENCHMARK(BM_CleesShardedMatch)
 
 void engine_batch_match_bench(benchmark::State& state, EngineKind kind) {
   // Args: {subscriptions, matcher shards, batch size}. One engine-level
-  // match_batch() per iteration; items processed = publications.
+  // match_batch() per iteration; items processed = publications. LEES runs
+  // the paper's scan loop.
   BenchHost host;
   EngineConfig cfg;
   cfg.kind = kind;
+  cfg.lees_envelope_index = false;
   cfg.matcher_threads = static_cast<std::size_t>(state.range(1));
   const auto engine = make_engine(cfg);
   Rng rng{7};

@@ -39,9 +39,10 @@ Full mode runs, in order:
                            per-link forwards and deliveries (DESIGN.md §14),
                            and the whole suite must still be bit-identical.
   6. fuzz smoke            time-boxed run of the fuzz preset harnesses
-                           (batch codec, scenario parser, and the
+                           (batch codec, scenario parser, the
                            differential covering/relational soundness
-                           harness) over the checked-in corpus: libFuzzer
+                           harness and the LEES envelope-index
+                           differential) over the checked-in corpus: libFuzzer
                            under Clang, the fallback mutation driver under
                            gcc.
   7. sweep smoke           time-boxed Monte-Carlo capacity sweep: a small
@@ -88,10 +89,12 @@ if [[ "${QUICK}" == "0" ]]; then
   # 10s / 5000 runs, whichever comes first. Any crash or round-trip
   # violation aborts the harness and fails the script.
   cmake --preset fuzz
-  cmake --build --preset fuzz -j "${JOBS}" --target fuzz_batch_codec fuzz_scenario fuzz_covers
+  cmake --build --preset fuzz -j "${JOBS}" --target fuzz_batch_codec fuzz_scenario fuzz_covers \
+    fuzz_lees_envelope
   ./build-fuzz/fuzz/fuzz_batch_codec -runs=5000 -max_total_time=10 fuzz/corpus/batch
   ./build-fuzz/fuzz/fuzz_scenario -runs=5000 -max_total_time=10 fuzz/corpus/scenario
   ./build-fuzz/fuzz/fuzz_covers -runs=2000 -max_total_time=10 fuzz/corpus/covers
+  ./build-fuzz/fuzz/fuzz_lees_envelope -runs=2000 -max_total_time=10 fuzz/corpus/lees_envelope
 
   echo "=== sweep smoke ==="
   # Time-boxed statistical smoke: a small sweep with the bit-determinism

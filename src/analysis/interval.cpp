@@ -348,10 +348,16 @@ Interval iv_max2(const Interval& a, const Interval& b) noexcept {
 }
 
 Interval eval_interval(const ExprProgram& prog, const VarBounds& vars) {
+  std::vector<Interval> stack;
+  return eval_interval(prog, vars, stack);
+}
+
+Interval eval_interval(const ExprProgram& prog, const VarBounds& vars,
+                       std::vector<Interval>& stack) {
   using Op = ExprProgram::Op;
   if (prog.empty()) throw std::logic_error("abstract evaluation of an empty ExprProgram");
-  std::vector<Interval> stack;
-  stack.reserve(prog.max_stack());
+  stack.clear();
+  if (stack.capacity() < prog.max_stack()) stack.reserve(prog.max_stack());
   const auto pop = [&stack]() {
     Interval v = stack.back();
     stack.pop_back();

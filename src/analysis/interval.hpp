@@ -29,6 +29,7 @@
 
 #include <cmath>
 #include <limits>
+#include <vector>
 
 #include "common/variable_table.hpp"
 #include "expr/program.hpp"
@@ -116,5 +117,9 @@ class VarBounds {
 /// The program must already have passed verify_program (see
 /// analysis/verifier.hpp); malformed programs throw std::logic_error.
 [[nodiscard]] Interval eval_interval(const ExprProgram& prog, const VarBounds& vars);
+/// Same, with a caller-owned abstract value stack (cleared on entry, grown
+/// to max_stack() once): repeated evaluation allocates nothing.
+[[nodiscard]] Interval eval_interval(const ExprProgram& prog, const VarBounds& vars,
+                                     std::vector<Interval>& stack);
 
 }  // namespace evps

@@ -74,6 +74,7 @@ struct EngineCosts {
   std::uint64_t lazy_evaluations = 0;  // LEES/CLEES on-demand evaluations
   std::uint64_t cache_hits = 0;        // CLEES
   std::uint64_t cache_misses = 0;      // CLEES
+  std::uint64_t anchorings = 0;        // LEES envelope windows (re-)anchored
 
   /// Total engine processing time in seconds (maintenance + lazy + match).
   [[nodiscard]] double total_seconds() const noexcept {
@@ -103,9 +104,16 @@ struct EngineConfig {
   /// CLEES extension: size TT cache windows from static analysis
   /// (analysis/analyzer.hpp) at install time. Parts whose bounds are
   /// provably constant never expire; parts independent of `t` stay valid
-  /// past TT while no registry variable has changed. Both cases re-derive
-  /// bit-identical bounds, so this only skips provably redundant
-  /// re-materialisations — observable behaviour is unchanged.
+  /// past TT while no registry variable has changed. An extension skips a
+  /// re-materialisation that would re-derive bit-identical bounds, but it
+  /// does not move the cache's `expires`, so the setting changes *when* a
+  /// later variable change is seen. On: a version kept past its TT by an
+  /// extension is refreshed by the first probe after the change. Off: that
+  /// version was refreshed at its TT boundary instead, and the refreshed
+  /// version keeps serving the old value until its own TT runs out.
+  /// Deliveries can therefore differ between the settings after a variable
+  /// change (it is not delivery-preserving); both keep the paper's bound —
+  /// a served version is never more than TT stale.
   bool analysis_cache_windows = true;
   /// Share one physical matcher/storage entry among subscriptions whose
   /// installs are interchangeable for delivery: identical destination and
@@ -113,6 +121,22 @@ struct EngineConfig {
   /// refcounted, so delivery sets are unchanged — this only shrinks the
   /// matcher population under duplicate-heavy workloads.
   bool dedup_identical = true;
+  /// LEES: reach parts whose programs read only `t` through a per-shard
+  /// window-envelope index (evolving/envelope_index.hpp), running their
+  /// programs only when the publication falls inside their envelope.
+  /// Delivery is unchanged; only lazy_evaluations drops. Off sends every
+  /// part to the paper's scan loop, which evaluates every evolving part per
+  /// publication (the Fig. 8/10 per-publication cost).
+  bool lees_envelope_index = true;
+  /// LEES, envelope index on: a window is re-anchored once per window
+  /// length, which costs several exact evaluations, so the index pays only
+  /// while a window sees enough publications. Each shard estimates that
+  /// count from the recent gap between publications and its parts' windows;
+  /// below this many it runs its indexed parts through the scan loop (and
+  /// drops their windows), and it returns to the index at twice this many.
+  /// Delivery is the same either way. 0 keeps the index on at any rate.
+  /// The default straddles the measured break-even of ~12 (DESIGN.md §18).
+  double lees_envelope_min_pubs = 8.0;
   /// Matcher shards (ShardedMatcher): subscriptions are hash-partitioned
   /// across this many independent matcher instances and match() fans out to
   /// the shared worker pool. 0 resolves to the EVPS_MATCHER_THREADS

@@ -24,6 +24,7 @@
 
 #include <cstdint>
 #include <map>
+#include <optional>
 #include <unordered_map>
 #include <vector>
 
@@ -96,8 +97,9 @@ class LazyStorage {
   /// Build a part from an evolving subscription (compiles its predicates).
   /// Every compiled program is verified before it can reach the evaluation
   /// hot path (which runs without bounds checks); malformed programs throw
-  /// VerifyError and the part is never installed.
-  [[nodiscard]] Part make_part(const SubscriptionPtr& sub, bool has_static_part) {
+  /// VerifyError and the part is never installed. The part gets its scratch
+  /// slot in add().
+  [[nodiscard]] static Part make_part(const SubscriptionPtr& sub, bool has_static_part) {
     Part part;
     part.id = sub->id();
     part.sub = sub;
@@ -108,6 +110,12 @@ class LazyStorage {
       verify_or_throw(part.preds.back().program());
     }
     part.has_static_part = has_static_part;
+    return part;
+  }
+
+  /// Store `part` under `dest`, assigning its scratch slot. Returns the
+  /// destination's group (a stable map node); the part is its last element.
+  Group& add(Part part, NodeId dest) {
     if (!free_slots_.empty()) {
       part.slot = free_slots_.back();
       free_slots_.pop_back();
@@ -115,25 +123,24 @@ class LazyStorage {
       part.slot = static_cast<std::uint32_t>(m1_stamp_.size());
       m1_stamp_.push_back(0);
     }
-    return part;
-  }
-
-  void add(Part part, NodeId dest) {
     slot_of_.emplace(part.id, part.slot);
     auto [it, inserted] = groups_.try_emplace(dest);
     if (inserted) group_of_.emplace(dest, &it->second);
     it->second.parts.push_back(std::move(part));
     ++count_;
+    return it->second;
   }
 
-  /// Remove the part for `id` under `dest`; false if unknown.
-  bool remove(SubscriptionId id, NodeId dest) {
+  /// Remove the part for `id` under `dest`; returns the slot it freed, or
+  /// nullopt if unknown.
+  std::optional<std::uint32_t> remove(SubscriptionId id, NodeId dest) {
     const auto git = groups_.find(dest);
-    if (git == groups_.end()) return false;
+    if (git == groups_.end()) return std::nullopt;
     auto& parts = git->second.parts;
     for (auto it = parts.begin(); it != parts.end(); ++it) {
       if (it->id != id) continue;
-      free_slots_.push_back(it->slot);
+      const std::uint32_t slot = it->slot;
+      free_slots_.push_back(slot);
       slot_of_.erase(id);
       parts.erase(it);
       --count_;
@@ -141,9 +148,9 @@ class LazyStorage {
         group_of_.erase(dest);
         groups_.erase(git);
       }
-      return true;
+      return slot;
     }
-    return false;
+    return std::nullopt;
   }
 
   /// Open a new per-publication match round (invalidates all stamps in O(1)).
@@ -174,9 +181,14 @@ class LazyStorage {
   [[nodiscard]] bool done(const Group& group) const noexcept {
     return group.done_stamp == gen_;
   }
-  [[nodiscard]] bool m1_hit(const Part& part) const noexcept {
-    return m1_stamp_[part.slot] == gen_;
+  [[nodiscard]] bool m1_hit(const Part& part) const noexcept { return m1_hit(part.slot); }
+  [[nodiscard]] bool m1_hit(std::uint32_t slot) const noexcept {
+    return m1_stamp_[slot] == gen_;
   }
+
+  /// Settle `group` for this round (one of its parts matched): the rest of
+  /// the destination's parts need no evaluation.
+  void settle(Group& group) noexcept { group.done_stamp = gen_; }
 
   /// Groups in deterministic (destination) order.
   [[nodiscard]] std::map<NodeId, Group>& groups() noexcept { return groups_; }

@@ -29,11 +29,27 @@
 // behaviour, for K>1 it evaluates at most K-1 extra parts per destination
 // (pure evaluations: delivery is unchanged, only the lazy_evaluations
 // counter can differ between K values).
+//
+// Envelope index (DESIGN.md §18): parts whose programs read only `t` are
+// held in a second per-shard store reached through an EnvelopeIndex. Per
+// publication the index re-anchors expired windows, and only the parts
+// whose window envelope admits the publication run their compiled programs,
+// under the same m1, done-destination and early-exit rules. Every other part
+// — and every part while a VariableSnapshot is in force — goes through the
+// paper's scan loop; EngineConfig::lees_envelope_index = false sends every
+// part there, which reproduces the paper's per-publication evaluation count.
+// A shard whose windows see too few publications to repay re-anchoring
+// (EngineConfig::lees_envelope_min_pubs) runs its indexed parts through the
+// scan loop too, until publications are dense again.
 #pragma once
 
+#include <optional>
+#include <span>
+#include <type_traits>
 #include <vector>
 
 #include "evolving/engine.hpp"
+#include "evolving/envelope_index.hpp"
 #include "evolving/lazy_storage.hpp"
 
 namespace evps {
@@ -45,7 +61,22 @@ class LeesEngine final : public BrokerEngine {
   /// Number of subscriptions with at least one evolving predicate.
   [[nodiscard]] std::size_t leme_size() const noexcept {
     std::size_t total = 0;
-    for (const auto& leme : leme_) total += leme.size();
+    for (const auto& shard : shards_) total += shard.scan.size() + shard.indexed.size();
+    return total;
+  }
+
+  /// Subscriptions whose evolving part is reached through the envelope index.
+  [[nodiscard]] std::size_t indexed_size() const noexcept {
+    std::size_t total = 0;
+    for (const auto& shard : shards_) total += shard.indexed.size();
+    return total;
+  }
+
+  /// Shards whose indexed parts currently run the scan loop because their
+  /// windows see too few publications (EngineConfig::lees_envelope_min_pubs).
+  [[nodiscard]] std::size_t sparse_shards() const noexcept {
+    std::size_t total = 0;
+    for (const auto& shard : shards_) total += shard.sparse && shard.indexed.size() != 0 ? 1 : 0;
     return total;
   }
 
@@ -66,6 +97,25 @@ class LeesEngine final : public BrokerEngine {
  private:
   struct NoExtra {};
   using Leme = LazyStorage<NoExtra>;
+  // The index reads Part::preds through its buffer address, which a vector
+  // move (the group reallocating or erasing) leaves in place.
+  static_assert(std::is_nothrow_move_constructible_v<Leme::Part>);
+
+  /// What a candidate needs besides its programs (indexed-store slot order).
+  struct Target {
+    Leme::Group* group = nullptr;  // stable map node while the part lives
+    NodeId dest;
+    bool has_static_part = false;
+  };
+
+  /// One matcher shard's lazy state.
+  struct Shard {
+    Leme scan;     // evaluated part by part on every publication (the paper's loop)
+    Leme indexed;  // reached through `index`
+    EnvelopeIndex index;
+    std::vector<Target> targets;  // by `indexed` slot
+    bool sparse = false;  // `indexed` runs the scan loop; `index` is suspended
+  };
 
   /// Per-shard-worker scratch; cacheline-aligned so parallel workers do not
   /// false-share counters.
@@ -73,22 +123,49 @@ class LeesEngine final : public BrokerEngine {
     EvalScope scope;
     std::vector<double> stack;
     std::vector<NodeId> dests;
+    std::vector<std::uint32_t> candidates;
     std::uint64_t lazy_evaluations = 0;
+    std::uint64_t anchorings = 0;
   };
 
-  [[nodiscard]] Leme& leme_for(SubscriptionId id) noexcept {
-    return leme_[sharded_->shard_of(id)];
+  [[nodiscard]] Shard& shard_for(SubscriptionId id) noexcept {
+    return shards_[sharded_->shard_of(id)];
   }
+
+  /// Store `part` (built from `entry`) in its shard's scan store, or in the
+  /// indexed store when the envelope index can bound it.
+  void add_part(Leme::Part part, const Installed& entry);
 
   /// True iff all compiled evolving predicates are satisfied by `pub` under
   /// `scope`.
-  static bool evolving_part_matches(const Leme::Part& part, const Publication& pub,
-                                    const EvalScope& scope, std::vector<double>& stack);
+  static bool evolving_part_matches(std::span<const CompiledPredicate> preds,
+                                    const Publication& pub, const EvalScope& scope,
+                                    std::vector<double>& stack);
+
+  /// The paper's LEME loop over `leme`: every unsettled destination's parts
+  /// in order until one matches. A match also settles the destination in
+  /// `sibling`, when given.
+  static void scan_loop(Leme& leme, Leme* sibling, const Publication& pub, ShardScratch& sc);
+
+  /// The envelope-index path: re-anchor, stab, evaluate candidates.
+  static void scan_candidates(Shard& shard, const Publication& pub, SimTime now,
+                              ShardScratch& sc);
+
+  /// Fold the gap since the previous publication into gap_us_.
+  void note_publication(SimTime now);
+
+  /// Whether `shard` uses its index for this publication: flips
+  /// `shard.sparse` against lees_envelope_min_pubs (with hysteresis) and
+  /// suspends the index on entering the sparse state.
+  [[nodiscard]] bool index_pays(Shard& shard) const;
 
   /// Route the matcher hits: mark static halves in their shard's LEME,
   /// collect purely-static destinations and broadcast their settlement.
   /// Every shard's begin_match must have been called for this publication.
   void process_m1(const std::vector<SubscriptionId>& m1, std::vector<NodeId>& destinations);
+
+  /// Open a match round in every shard store.
+  void begin_match();
 
   /// The parallel M2 phase: one worker per shard, results merged into
   /// `destinations` and costs_ afterwards. Caller times it.
@@ -96,7 +173,11 @@ class LeesEngine final : public BrokerEngine {
                        const VariableRegistry& registry, SimTime now,
                        std::vector<NodeId>& destinations);
 
-  std::vector<Leme> leme_;  // one per matcher shard (same id partition)
+  std::vector<Shard> shards_;  // one per matcher shard (same id partition)
+  /// Moving average of the simulated time between publications, in
+  /// microseconds (weight 1/8 per publication).
+  double gap_us_ = 0.0;
+  std::optional<SimTime> last_publication_;
   std::vector<ShardScratch> shard_scratch_;
   /// Install-sharing over FULLY-evolving subscriptions: identical compiled
   /// predicates towards the same destination with the same epoch evaluate

@@ -125,6 +125,7 @@ void GameExperiment::build() {
   broker_cfg.engine.default_mei = cfg_.mei;
   broker_cfg.engine.default_tt = cfg_.tt;
   broker_cfg.engine.matcher_threads = cfg_.matcher_threads;
+  broker_cfg.engine.lees_envelope_index = cfg_.lees_envelope_index;
   broker_cfg.batch_size = cfg_.batch_size;
   broker_cfg.link_batch_size = cfg_.link_batch_size;
   server_ = &overlay_.add_broker("gameserver", broker_cfg);

@@ -62,6 +62,10 @@ struct GameConfig {
   std::size_t batch_size = 1;
   /// Per-link outgoing batch size (0 = EVPS_LINK_BATCH env, default 1).
   std::size_t link_batch_size = 0;
+  /// LEES engines reach `t`-only parts through the envelope index
+  /// (EngineConfig::lees_envelope_index); off reproduces the paper's
+  /// per-publication evaluation cost.
+  bool lees_envelope_index = true;
 
   /// Game-event publications per second.
   double pub_rate = 200.0;

@@ -146,5 +146,38 @@ TEST_F(CleesTest, DiscreteVariablePickedUpAfterExpiry) {
   EXPECT_TRUE(match(engine, host, parse_publication("x = 5")).empty());
 }
 
+TEST_F(CleesTest, AnalysisWindowsChangeWhenVariableChangesAreSeen) {
+  // analysis_cache_windows is not delivery-preserving. Past TT, a
+  // time-invariant version is kept without moving `expires`, so with the
+  // windows on the first probe after a variable change refreshes; with them
+  // off the version was refreshed at its TT boundary and serves the old
+  // value until that refresh's TT runs out. Both respect the TT bound.
+  EngineConfig off_cfg = cfg;
+  off_cfg.analysis_cache_windows = false;
+  CleesEngine off{off_cfg};
+  host.set_variable("v", 1.0);
+  engine.add(make_sub(1, "[tt=1] x <= 10 * v"), NodeId{1}, host);
+  off.add(make_sub(1, "[tt=1] x <= 10 * v"), NodeId{1}, host);
+  const Publication pub = parse_publication("x = 5");
+  EXPECT_EQ(match(engine, host, pub).size(), 1u);  // both materialise x <= 10
+  EXPECT_EQ(match(off, host, pub).size(), 1u);
+  sim.run_until(sec(1.5));  // past TT: on keeps the version, off refreshes it
+  EXPECT_EQ(match(engine, host, pub).size(), 1u);
+  EXPECT_EQ(match(off, host, pub).size(), 1u);
+  EXPECT_EQ(engine.costs().cache_hits, 1u);
+  EXPECT_EQ(off.costs().cache_misses, 2u);
+
+  sim.run_until(sec(1.6));
+  host.set_variable("v", 0.1);  // exact bound now x <= 1
+  sim.run_until(sec(1.7));
+  EXPECT_TRUE(match(engine, host, pub).empty());  // on: seen at once
+  EXPECT_EQ(match(off, host, pub).size(), 1u);    // off: stale (refreshed at 1.5)
+  sim.run_until(sec(2.499));
+  EXPECT_EQ(match(off, host, pub).size(), 1u);  // still within that version's TT
+  sim.run_until(sec(2.6));                      // change + TT: both fresh
+  EXPECT_TRUE(match(off, host, pub).empty());
+  EXPECT_TRUE(match(engine, host, pub).empty());
+}
+
 }  // namespace
 }  // namespace evps

@@ -187,6 +187,80 @@ TEST_F(MatchAllocation, CleesCacheExpiryRefreshIsAllocFree) {
   EXPECT_GT(engine.costs().cache_misses, 60u);
 }
 
+/// 60 indexed parts with one-millisecond windows.
+void add_short_window_parts(LeesEngine& engine, EngineHost& host) {
+  for (int i = 1; i <= 60; ++i) {
+    // One-millisecond windows: every pass below re-anchors every part. The
+    // envelopes stay put (floor(t) is constant within the second), so the
+    // grid never needs re-tuning.
+    const int k = i % 10;
+    engine.add(make_sub(static_cast<std::uint64_t>(i),
+                        "[mei=0.001] x >= floor(t) - 3 + " + std::to_string(k) +
+                            "; x <= floor(t) + 3 + " + std::to_string(k)),
+               NodeId{1 + static_cast<std::uint64_t>(i) % 7}, host);
+  }
+}
+
+TEST_F(MatchAllocation, LeesWindowReanchorIsAllocFree) {
+  // Four publications per two windows: the index stays on only because the
+  // sparse-traffic fallback is off.
+  LeesEngine engine{EngineConfig{.kind = EngineKind::kLees, .lees_envelope_min_pubs = 0.0}};
+  add_short_window_parts(engine, host);
+  ASSERT_EQ(engine.indexed_size(), 60u);
+  const auto pubs = make_pubs();
+  std::vector<NodeId> dests;
+  dests.reserve(64);
+  for (int warm = 0; warm < 2; ++warm) {
+    sim.run_until(sim.now() + Duration::millis(1));
+    for (const auto& pub : pubs) {
+      dests.clear();
+      engine.match(pub, nullptr, host, dests);
+    }
+  }
+  const std::uint64_t anchored = engine.costs().anchorings;
+  const std::uint64_t before = alloc_count();
+  for (int round = 0; round < 20; ++round) {
+    sim.run_until(sim.now() + Duration::millis(2));
+    for (const auto& pub : pubs) {
+      dests.clear();
+      engine.match(pub, nullptr, host, dests);
+    }
+  }
+  EXPECT_EQ(alloc_count() - before, 0u);
+  EXPECT_GE(engine.costs().anchorings - anchored, 60u * 20u);
+  EXPECT_TRUE(sim.empty());
+}
+
+TEST_F(MatchAllocation, LeesSparseSwitchIsAllocFree) {
+  // Alternating sparse (10 ms apart: the scan loop, windows dropped) and
+  // dense (same instant: the index, every window anchored afresh) phases;
+  // the gap estimate needs ~40 dense publications to come back.
+  LeesEngine engine{EngineConfig{.kind = EngineKind::kLees, .matcher_threads = 1}};
+  add_short_window_parts(engine, host);
+  const auto pubs = make_pubs();
+  std::vector<NodeId> dests;
+  dests.reserve(64);
+  std::size_t switches = 0;
+  const auto phase = [&](bool sparse) {
+    for (int i = 0; i < (sparse ? 8 : 64); ++i) {
+      if (sparse) sim.run_until(sim.now() + Duration::millis(10));
+      dests.clear();
+      engine.match(pubs[static_cast<std::size_t>(i) % pubs.size()], nullptr, host, dests);
+    }
+    switches += engine.sparse_shards() == (sparse ? 1u : 0u) ? 1 : 0;
+  };
+  phase(true);
+  phase(false);
+  const std::uint64_t before = alloc_count();
+  for (int round = 0; round < 5; ++round) {
+    phase(true);
+    phase(false);
+  }
+  EXPECT_EQ(alloc_count() - before, 0u);
+  EXPECT_EQ(switches, 12u);
+  EXPECT_TRUE(sim.empty());
+}
+
 TEST_F(MatchAllocation, VesSteadyStateIsAllocFree) {
   VesEngine engine{EngineConfig{.kind = EngineKind::kVes}};
   populate(engine, host, 120, true);
