@@ -4,6 +4,7 @@
 
 #include "common/rng.hpp"
 #include "evolving/engine.hpp"
+#include "evolving/envelope_index.hpp"
 #include "evolving/ves_engine.hpp"
 #include "gbench_main.hpp"
 
@@ -164,6 +165,71 @@ void BM_LeesReanchor(benchmark::State& state) {
   state.SetItemsProcessed(static_cast<std::int64_t>(engine->costs().anchorings));
 }
 BENCHMARK(BM_LeesReanchor)->Arg(1000)->Arg(10000);
+
+void BM_LeesStab(benchmark::State& state) {
+  // The envelope index alone on a game-like stream: `n` areas of interest
+  // with 1 s windows, one publication every 5 ms, 70% of them inside a
+  // random area (the game_lees mix). An iteration is one publication:
+  // advance (re-anchoring due windows) and stab. Counters are per
+  // publication; candidates are what the exact programs would run on.
+  const auto n = arg(state, 0);
+  Rng rng{7};
+  std::vector<std::vector<CompiledPredicate>> preds(n);
+  struct Centre {
+    double x, dx, y, dy;
+  };
+  std::vector<Centre> centres;
+  EnvelopeIndex index;
+  std::vector<double> stack;
+  for (std::size_t i = 0; i < n; ++i) {
+    const SubscriptionPtr sub = aoi_subscription(i + 1, rng);
+    for (const Predicate& p : sub->predicates()) preds[i].emplace_back(p);
+    const auto mid = [&](std::size_t lo, double t) {
+      const EvalScope scope(nullptr, SimTime::from_seconds(t), SimTime::zero());
+      return (preds[i][lo].program().eval(scope, stack) +
+              preds[i][lo + 1].program().eval(scope, stack)) / 2;
+    };
+    centres.push_back(
+        Centre{mid(0, 0.0), mid(0, 1.0) - mid(0, 0.0), mid(2, 0.0), mid(2, 1.0) - mid(2, 0.0)});
+    index.add(static_cast<std::uint32_t>(i), preds[i], SimTime::zero(), Duration::seconds(1),
+              rng());
+  }
+  Publication pub;
+  std::vector<std::uint32_t> candidates;
+  std::int64_t tick = 0;
+  std::uint64_t found = 0;
+  const auto publish = [&] {
+    const SimTime now = SimTime::from_micros(tick += 5'000);
+    if (rng.bernoulli(0.7)) {
+      const Centre& c = centres[static_cast<std::size_t>(
+          rng.uniform_int(0, static_cast<std::int64_t>(n) - 1))];
+      const double t = static_cast<double>(now.micros()) / 1e6;
+      pub.set("x", c.x + c.dx * t + rng.uniform(-1.0, 1.0));
+      pub.set("y", c.y + c.dy * t + rng.uniform(-1.0, 1.0));
+    } else {
+      pub.set("x", rng.uniform(-100.0, 100.0));
+      pub.set("y", rng.uniform(-100.0, 100.0));
+    }
+    index.advance(now);
+    candidates.clear();
+    index.stab(pub, candidates);
+    benchmark::DoNotOptimize(candidates.data());
+    found += candidates.size();
+  };
+  // Two windows first: every part anchored, the grid tuned.
+  for (int i = 0; i < 400; ++i) publish();
+  const std::uint64_t anchorings = index.anchorings();
+  const std::uint64_t visited = index.visited();
+  found = 0;
+  for (auto _ : state) publish();
+  const auto per_pub = [](std::uint64_t count) {
+    return benchmark::Counter(static_cast<double>(count), benchmark::Counter::kAvgIterations);
+  };
+  state.counters["anchorings_per_pub"] = per_pub(index.anchorings() - anchorings);
+  state.counters["visited_per_pub"] = per_pub(index.visited() - visited);
+  state.counters["candidates_per_pub"] = per_pub(found);
+}
+BENCHMARK(BM_LeesStab)->Arg(1000)->Arg(10000);
 
 void engine_sharded_match_bench(benchmark::State& state, EngineKind kind) {
   // Args: {subscriptions, matcher shards}. Same workload as the plain match

@@ -129,14 +129,15 @@ struct EngineConfig {
   /// publication (the Fig. 8/10 per-publication cost).
   bool lees_envelope_index = true;
   /// LEES, envelope index on: a window is re-anchored once per window
-  /// length, which costs several exact evaluations, so the index pays only
-  /// while a window sees enough publications. Each shard estimates that
-  /// count from the recent gap between publications and its parts' windows;
-  /// below this many it runs its indexed parts through the scan loop (and
-  /// drops their windows), and it returns to the index at twice this many.
-  /// Delivery is the same either way. 0 keeps the index on at any rate.
-  /// The default straddles the measured break-even of ~12 (DESIGN.md §18).
-  double lees_envelope_min_pubs = 8.0;
+  /// length, which costs about five exact part evaluations, so the index
+  /// pays only while a window sees enough publications. Each shard
+  /// estimates that count from the recent gap between publications and its
+  /// parts' windows; below this many it runs its indexed parts through the
+  /// scan loop (and drops their windows), and it returns to the index at
+  /// twice this many. Delivery is the same either way. 0 keeps the index on
+  /// at any rate. The default straddles the measured break-even of ~5
+  /// (DESIGN.md §18).
+  double lees_envelope_min_pubs = 4.0;
   /// Matcher shards (ShardedMatcher): subscriptions are hash-partitioned
   /// across this many independent matcher instances and match() fans out to
   /// the shared worker pool. 0 resolves to the EVPS_MATCHER_THREADS

@@ -1,9 +1,11 @@
 #include "evolving/envelope_index.hpp"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 
 #include "common/variable_table.hpp"
+#include "expr/variable_registry.hpp"
 
 namespace evps {
 namespace {
@@ -38,6 +40,20 @@ bool ordinary_number(const Value& v, double& out) noexcept {
   return out >= -0x1p63 && out < 0x1p63 && static_cast<std::int64_t>(out) == i;
 }
 
+/// The largest float not above x (x not NaN), without an out-of-range cast.
+float float_below(double x) noexcept {
+  constexpr float kMax = std::numeric_limits<float>::max();
+  if (std::isinf(x)) return static_cast<float>(x);
+  if (x > kMax) return kMax;
+  if (x < -kMax) return -std::numeric_limits<float>::infinity();
+  const float f = static_cast<float>(x);
+  return static_cast<double>(f) > x ? std::nextafter(f, -std::numeric_limits<float>::infinity())
+                                    : f;
+}
+
+/// The smallest float not below x (x not NaN).
+float float_above(double x) noexcept { return -float_below(-x); }
+
 /// Width used to pick the key: empty ranges first (the part is dormant for
 /// the window), then the narrowest.
 double width_of(double lo, double hi) noexcept {
@@ -60,6 +76,67 @@ bool EnvelopeIndex::indexable(std::span<const CompiledPredicate> preds, Duration
   return bounding;
 }
 
+bool EnvelopeIndex::monotone_chain(const ExprProgram& prog) {
+  using Op = ExprProgram::Op;
+  // Abstract stack: a constant's value, or the one value that depends on `t`.
+  // Programs deeper than chains need keep the interval path.
+  struct Item {
+    bool chain;
+    double value;
+  };
+  std::array<Item, 8> stack{};
+  std::size_t depth = 0;
+  bool loaded = false;
+  for (const ExprProgram::Insn& insn : prog.code()) {
+    switch (insn.op) {
+      case Op::kPushConst:
+      case Op::kLoadVar:
+        if (depth == stack.size()) return false;
+        if (insn.op == Op::kLoadVar) {
+          if (loaded || insn.var != elapsed_time_var_id()) return false;
+          loaded = true;
+        }
+        stack[depth++] = Item{insn.op == Op::kLoadVar, insn.k};
+        break;
+      case Op::kNeg:
+        if (depth == 0) return false;
+        stack[depth - 1].value = -stack[depth - 1].value;
+        break;
+      case Op::kFloor:
+      case Op::kCeil:
+        if (depth == 0 || !stack[depth - 1].chain) return false;
+        break;
+      case Op::kAdd:
+      case Op::kSub:
+      case Op::kMul:
+      case Op::kDiv: {
+        if (depth < 2) return false;
+        const Item b = stack[--depth];
+        Item& a = stack[depth - 1];
+        if (!a.chain && !b.chain) {  // the evaluator's own constant arithmetic
+          switch (insn.op) {
+            case Op::kAdd: a.value += b.value; break;
+            case Op::kSub: a.value -= b.value; break;
+            case Op::kMul: a.value *= b.value; break;
+            default: a.value /= b.value; break;
+          }
+          break;
+        }
+        // One operand is the chain (one load), the other a constant c.
+        const double c = a.chain ? b.value : a.value;
+        const bool scales = insn.op == Op::kMul || insn.op == Op::kDiv;
+        if (!std::isfinite(c) || (scales && c == 0.0) || (insn.op == Op::kDiv && b.chain)) {
+          return false;  // inf - inf, inf * 0 and c / t are not monotone or not NaN-free
+        }
+        a.chain = true;
+        break;
+      }
+      default: return false;
+    }
+  }
+  return loaded && depth == 1 && stack[0].chain;
+}
+
 void EnvelopeIndex::add(std::uint32_t slot, std::span<const CompiledPredicate> preds,
                         SimTime epoch, Duration window, std::uint64_t stagger) {
   if (slot >= entries_.size()) entries_.resize(static_cast<std::size_t>(slot) + 1);
@@ -69,6 +146,11 @@ void EnvelopeIndex::add(std::uint32_t slot, std::span<const CompiledPredicate> p
   e.stamp = stamp;
   e.preds = preds.data();
   e.npreds = static_cast<std::uint32_t>(preds.size());
+  for (std::size_t i = 0; i < std::min(preds.size(), kMaxChains); ++i) {
+    if (preds[i].op() != RelOp::kNe && monotone_chain(preds[i].program())) {
+      e.chains |= 1U << i;
+    }
+  }
   e.epoch = epoch;
   e.window_us = std::clamp<std::int64_t>(window.count_micros(), 1, kMaxWindowUs);
   e.anchor_us = -static_cast<std::int64_t>(stagger % static_cast<std::uint64_t>(e.window_us));
@@ -87,8 +169,18 @@ void EnvelopeIndex::remove(std::uint32_t slot) {
   windows_per_us_ = parts_ == 0 ? 0.0 : windows_per_us_ - 1.0 / static_cast<double>(e.window_us);
 }
 
+void EnvelopeIndex::unlist_all() {
+  for (Key& key : keys_) {
+    for (std::vector<Record>& records : key.lists) records.clear();
+    key.wide.clear();
+    key.dormant.clear();
+    key.count = 0;
+  }
+  for (Entry& e : entries_) e.key = kNil;
+}
+
 void EnvelopeIndex::suspend() {
-  for (std::uint32_t slot = 0; slot < entries_.size(); ++slot) unlink(slot);
+  unlist_all();
   due_.clear();
   pending_.clear();
   suspended_ = true;
@@ -99,21 +191,28 @@ void EnvelopeIndex::advance(SimTime now) {
   if (suspended_ || now_us < last_now_us_) {
     // Resuming, or the clock moved backwards (a replay or a test host) so
     // windows may lie ahead of `now`: every part is anchored afresh.
+    unlist_all();
     due_.clear();
     pending_.clear();
     for (std::uint32_t slot = 0; slot < entries_.size(); ++slot) {
-      if (entries_[slot].preds == nullptr) continue;
-      unlink(slot);
-      pending_.push_back(slot);
+      if (entries_[slot].preds != nullptr) pending_.push_back(slot);
     }
     suspended_ = false;
   }
   last_now_us_ = now_us;
 
+  // A bulk of first anchorings re-tunes as it goes, so it never piles up in
+  // one list of a coarse grid, and once more at the end, so the grid covers
+  // the parts anchored after its last tune.
+  bool retuned = false;
   for (const std::uint32_t slot : pending_) {
     const Entry& e = entries_[slot];
     if (e.preds == nullptr || e.key != kNil) continue;  // removed, or listed twice
     anchor(slot, now_us);
+    if (degraded(keys_[e.key])) {
+      retune(e.key);
+      retuned = true;
+    }
   }
   pending_.clear();
 
@@ -128,7 +227,8 @@ void EnvelopeIndex::advance(SimTime now) {
   }
 
   for (std::uint32_t k = 0; k < keys_.size(); ++k) {
-    if (degraded(keys_[k])) retune(k);
+    const Key& key = keys_[k];
+    if (degraded(key) || (retuned && key.count != key.tuned_count)) retune(k);
   }
 }
 
@@ -147,6 +247,9 @@ void EnvelopeIndex::anchor(std::uint32_t slot, std::int64_t now_us) {
   // monotone conversion, so the window's endpoints bound every `t` in it.
   const SimTime start = SimTime::from_micros(anchor_us);
   const SimTime end = SimTime::from_micros(anchor_us + e.window_us);
+  // The match path's scope at the window's ends (these programs read only `t`).
+  const EvalScope at_start(nullptr, start, e.epoch);
+  const EvalScope at_end(nullptr, end, e.epoch);
   const WindowBounds vars(elapsed_time_var_id(),
                           Interval::range((start - e.epoch).count_seconds(),
                                           (end - e.epoch).count_seconds()));
@@ -154,7 +257,18 @@ void EnvelopeIndex::anchor(std::uint32_t slot, std::int64_t now_us) {
   for (std::size_t i = 0; i < e.npreds; ++i) {
     const CompiledPredicate& cp = e.preds[i];
     if (cp.op() == RelOp::kNe) continue;  // `!=` accepts NaN bounds: no envelope
-    const Interval iv = eval_interval(cp.program(), vars, iv_stack_);
+    Interval iv;
+    bool exact = false;
+    if (i < kMaxChains && ((e.chains >> i) & 1U) != 0) {
+      // A monotone chain takes every in-window value between its end values.
+      const double first = cp.program().eval(at_start, stack_);
+      const double last = cp.program().eval(at_end, stack_);
+      if (!std::isnan(first) && !std::isnan(last)) {
+        iv = Interval::range(std::min(first, last), std::max(first, last));
+        exact = true;
+      }
+    }
+    if (!exact) iv = eval_interval(cp.program(), vars, iv_stack_);
     double lo = -kInf;
     double hi = kInf;
     if (iv.numeric_empty()) {
@@ -197,15 +311,13 @@ void EnvelopeIndex::anchor(std::uint32_t slot, std::int64_t now_us) {
       second = &r;
     }
   }
-  e.lo = best->lo;
-  e.hi = best->hi;
-  e.attr2 = kInvalidAttrId;
+  Record record{float_below(best->lo), float_above(best->hi), 0.0F, 0.0F, kInvalidAttrId, slot};
   if (second != nullptr && width_of(second->lo, second->hi) < kInf) {
-    e.attr2 = second->attr;
-    e.lo2 = second->lo;
-    e.hi2 = second->hi;
+    record.attr2 = second->attr;
+    record.lo2 = float_below(second->lo);
+    record.hi2 = float_above(second->hi);
   }
-  place(slot, key_for(best->attr));
+  place(record, key_for(best->attr));
   due_.push_back(Due{anchor_us + e.window_us, slot, e.stamp});
   std::push_heap(due_.begin(), due_.end(), DueLater{});
 }
@@ -222,84 +334,89 @@ std::uint32_t EnvelopeIndex::bucket(const Key& key, double x) noexcept {
   // Monotone in x (and 0 for every x while untuned).
   const double f = (x - key.origin) * key.inv_width;
   if (!(f > 0.0)) return 0;
-  const auto last = static_cast<std::uint32_t>(key.heads.size() - 1);
+  const std::uint32_t last = key.buckets - 1;
   if (f >= static_cast<double>(last)) return last;
   return static_cast<std::uint32_t>(f);
 }
 
-std::uint32_t& EnvelopeIndex::head(Key& key, std::uint32_t list) noexcept {
-  if (list == kWide) return key.wide_head;
-  if (list == kDormant) return key.dormant_head;
-  return key.heads[list];
+void EnvelopeIndex::reserve(std::vector<Record>& records, std::size_t size) {
+  records.reserve(size + size / 4 + 8);
 }
 
-void EnvelopeIndex::place(std::uint32_t slot, std::uint32_t key_index) {
+void EnvelopeIndex::fit(std::vector<Record>& records) {
+  if (records.capacity() <= 2 * records.size() + 32) return;
+  std::vector<Record> fitted;
+  if (!records.empty()) reserve(fitted, records.size());
+  fitted.assign(records.begin(), records.end());
+  records.swap(fitted);
+}
+
+std::vector<EnvelopeIndex::Record>& EnvelopeIndex::list(Key& key, std::uint32_t list) noexcept {
+  if (list == kWide) return key.wide;
+  if (list == kDormant) return key.dormant;
+  return key.lists[list];
+}
+
+std::uint32_t EnvelopeIndex::list_for(const Key& key, const Record& record) noexcept {
+  if (!(record.lo <= record.hi)) return kDormant;
+  const std::uint32_t low = bucket(key, record.lo);
+  return bucket(key, record.hi) - low > kSpan ? kWide : low;
+}
+
+void EnvelopeIndex::place(const Record& record, std::uint32_t key_index) {
   Key& key = keys_[key_index];
-  Entry& e = entries_[slot];
-  if (!(e.lo <= e.hi)) {
-    e.list = kDormant;
-  } else {
-    const std::uint32_t low = bucket(key, e.lo);
-    if (bucket(key, e.hi) - low > kSpan) {
-      e.list = kWide;
-      ++key.wide;
-    } else {
-      e.list = low;
-      if (key.inv_width > 0.0 && std::isfinite(e.lo) && std::isfinite(e.hi) &&
-          (e.lo < key.origin || e.hi > key.top)) {
-        ++key.drift;
-      }
-    }
+  Entry& e = entries_[record.slot];
+  e.list = list_for(key, record);
+  if (e.list < kDormant && key.inv_width > 0.0 && std::isfinite(record.lo) &&
+      std::isfinite(record.hi) && (record.lo < key.origin || record.hi > key.top)) {
+    ++key.drift;
   }
-  std::uint32_t& first = head(key, e.list);
+  std::vector<Record>& records = list(key, e.list);
   e.key = key_index;
-  e.prev = kNil;
-  e.next = first;
-  if (first != kNil) entries_[first].prev = slot;
-  first = slot;
+  e.pos = static_cast<std::uint32_t>(records.size());
+  if (records.size() == records.capacity()) reserve(records, records.size());
+  records.push_back(record);
   ++key.count;
 }
 
 void EnvelopeIndex::unlink(std::uint32_t slot) {
   Entry& e = entries_[slot];
-  if (e.key == kNil) return;  // not anchored yet
+  if (e.key == kNil) return;  // not listed
   Key& key = keys_[e.key];
-  if (e.prev != kNil) {
-    entries_[e.prev].next = e.next;
-  } else {
-    head(key, e.list) = e.next;
-  }
-  if (e.next != kNil) entries_[e.next].prev = e.prev;
+  std::vector<Record>& records = list(key, e.list);
+  // Swap-and-pop: the last record takes this one's place.
+  records[e.pos] = records.back();
+  entries_[records[e.pos].slot].pos = e.pos;
+  records.pop_back();
   --key.count;
-  if (e.list == kWide) --key.wide;
-  e.prev = e.next = kNil;
   e.key = kNil;
 }
 
 bool EnvelopeIndex::degraded(const Key& key) noexcept {
   return key.count >= 2 * key.tuned_count + 16 || key.drift > key.count / 4 + 8 ||
-         key.wide > key.tuned_wide + key.count / 8 + 8;
+         key.wide.size() > key.tuned_wide + key.count / 8 + 8;
 }
 
 void EnvelopeIndex::retune(std::uint32_t key_index) {
   Key& key = keys_[key_index];
-  // Collect the key's listed (non-dormant) parts and their finite widths.
-  slots_.clear();
+  // The finite widths and the extent of the key's listed (non-dormant) ranges.
   widths_.clear();
+  std::size_t listed = key.wide.size();
   double lowest = kInf;
   double highest = -kInf;
-  const auto collect = [&](std::uint32_t first) {
-    for (std::uint32_t s = first; s != kNil; s = entries_[s].next) {
-      slots_.push_back(s);
-      const Entry& e = entries_[s];
-      if (!std::isfinite(e.lo) || !std::isfinite(e.hi)) continue;
-      widths_.push_back(e.hi - e.lo);
-      lowest = std::min(lowest, e.lo);
-      highest = std::max(highest, e.hi);
+  const auto measure = [&](const std::vector<Record>& records) {
+    for (const Record& r : records) {
+      if (!std::isfinite(r.lo) || !std::isfinite(r.hi)) continue;
+      widths_.push_back(static_cast<double>(r.hi) - r.lo);
+      lowest = std::min<double>(lowest, r.lo);
+      highest = std::max<double>(highest, r.hi);
     }
   };
-  for (const std::uint32_t first : key.heads) collect(first);
-  collect(key.wide_head);
+  for (std::uint32_t b = 0; b < key.buckets; ++b) {
+    listed += key.lists[b].size();
+    measure(key.lists[b]);
+  }
+  measure(key.wide);
 
   // Buckets a 90th-percentile range spans kSpan of; at most ~2 buckets per
   // part. Degenerate data (no finite spread) stays in one bucket.
@@ -310,7 +427,7 @@ void EnvelopeIndex::retune(std::uint32_t key_index) {
     const auto q = widths_.begin() + static_cast<std::ptrdiff_t>(widths_.size() * 9 / 10);
     std::nth_element(widths_.begin(), q, widths_.end());
     bucket_width = *q / kSpan;
-    const std::size_t max_buckets = 2 * slots_.size() + 16;
+    const std::size_t max_buckets = 2 * listed + 16;
     if (!(bucket_width > 0.0) || extent / bucket_width >= static_cast<double>(max_buckets)) {
       bucket_width = extent / static_cast<double>(max_buckets - 1);
     }
@@ -323,39 +440,58 @@ void EnvelopeIndex::retune(std::uint32_t key_index) {
   key.inv_width = std::isfinite(inv) ? inv : 0.0;
   if (key.inv_width == 0.0) buckets = 1;
 
-  // Relist: dormant parts keep their list; the rest are placed afresh.
-  key.heads.assign(buckets, kNil);
-  key.wide_head = kNil;
-  key.count -= slots_.size();
-  key.wide = 0;
+  // Relist in place; dormant parts keep their list. A record whose list
+  // changes under the new grid moves (swap-and-pop brings the last record to
+  // its index); one met again in its new list stays.
+  const std::uint32_t old_buckets = key.buckets;
+  if (key.lists.size() < buckets) key.lists.resize(buckets);
+  key.buckets = static_cast<std::uint32_t>(buckets);
   key.drift = 0;
-  for (const std::uint32_t s : slots_) place(s, key_index);
+  const auto relist = [&](std::uint32_t from) {
+    const std::vector<Record>& records = list(key, from);
+    for (std::size_t i = 0; i < records.size();) {
+      const Record r = records[i];
+      if (list_for(key, r) == from) {
+        ++i;
+        continue;
+      }
+      unlink(r.slot);
+      place(r, key_index);
+    }
+  };
+  for (std::uint32_t b = 0; b < std::max(old_buckets, key.buckets); ++b) relist(b);
+  relist(kWide);
+  // Give back what the old grid needed and the new one does not (the first
+  // tune's single bucket held every range, say).
+  for (std::vector<Record>& records : key.lists) fit(records);
+  fit(key.wide);
+  fit(key.dormant);
   key.tuned_count = key.count;
-  key.tuned_wide = key.wide;
+  key.tuned_wide = key.wide.size();
 }
 
-void EnvelopeIndex::scan_list(std::uint32_t first, double v, const Publication& pub,
-                              std::vector<std::uint32_t>& out) const {
-  for (std::uint32_t s = first; s != kNil;) {
-    const Entry& e = entries_[s];
-    if (e.lo <= v && v <= e.hi) {
-      bool admitted = true;
-      if (e.attr2 != kInvalidAttrId) {
-        // Same rules as the key: a missing attribute cannot match, a value
-        // that is not an ordinary number is left to the programs.
-        const Value* value = pub.get(e.attr2);
-        double v2 = 0.0;
-        admitted = value != nullptr &&
-                   (!ordinary_number(*value, v2) || (e.lo2 <= v2 && v2 <= e.hi2));
+void EnvelopeIndex::scan_list(const std::vector<Record>& records, double v,
+                              const Publication& pub, std::vector<std::uint32_t>& out) const {
+  visited_ += records.size();
+  for (const Record& r : records) {
+    if (!(r.lo <= v && v <= r.hi)) continue;
+    if (r.attr2 != kInvalidAttrId) {
+      // Same rules as the key: a missing attribute cannot match, a value
+      // that is not an ordinary number is left to the programs.
+      const Value* value = pub.get(r.attr2);
+      double v2 = 0.0;
+      if (value == nullptr || (ordinary_number(*value, v2) && !(r.lo2 <= v2 && v2 <= r.hi2))) {
+        continue;
       }
-      if (admitted) out.push_back(s);
     }
-    s = e.next;
+    out.push_back(r.slot);
   }
 }
 
-void EnvelopeIndex::append_list(std::uint32_t first, std::vector<std::uint32_t>& out) const {
-  for (std::uint32_t s = first; s != kNil; s = entries_[s].next) out.push_back(s);
+void EnvelopeIndex::append_list(const std::vector<Record>& records,
+                                std::vector<std::uint32_t>& out) const {
+  visited_ += records.size();
+  for (const Record& r : records) out.push_back(r.slot);
 }
 
 void EnvelopeIndex::stab(const Publication& pub, std::vector<std::uint32_t>& out) const {
@@ -368,16 +504,16 @@ void EnvelopeIndex::stab(const Publication& pub, std::vector<std::uint32_t>& out
     double v = 0.0;
     if (!ordinary_number(*value, v)) {
       // Fail closed: the exact programs decide every part of this key.
-      for (const std::uint32_t first : key.heads) append_list(first, out);
-      append_list(key.wide_head, out);
-      append_list(key.dormant_head, out);
+      for (std::uint32_t b = 0; b < key.buckets; ++b) append_list(key.lists[b], out);
+      append_list(key.wide, out);
+      append_list(key.dormant, out);
       continue;
     }
     const std::uint32_t top = bucket(key, v);
     for (std::uint32_t b = top > kSpan ? top - kSpan : 0; b <= top; ++b) {
-      scan_list(key.heads[b], v, pub, out);
+      scan_list(key.lists[b], v, pub, out);
     }
-    scan_list(key.wide_head, v, pub, out);
+    scan_list(key.wide, v, pub, out);
   }
 }
 

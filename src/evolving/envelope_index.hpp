@@ -4,13 +4,13 @@
 // publication. For parts whose programs read only the elapsed time `t` and
 // constants, the set of publication values a part can accept over a short
 // stretch of simulated time is boundable in advance: give the part a window
-// [a, a+W] of simulated time, bound `t` by the window's elapsed-time range,
-// and the interval domain (analysis/interval.hpp, outward-rounded) bounds
-// every predicate's operand. Intersecting the allowed ranges of the part's
-// non-`!=` predicates on one attribute yields a closed range no matching
-// publication can fall outside while the window lasts. The index keeps each
-// part under its narrowest such range (its *key* attribute) and answers, per
-// publication, "which parts' ranges contain this value" — the candidates.
+// [a, a+W] of simulated time and bound every predicate's operand over the
+// window's elapsed-time range (see below). Intersecting the allowed ranges of
+// the part's non-`!=` predicates on one attribute yields a closed range no
+// matching publication can fall outside while the window lasts. The index
+// keeps each part under its narrowest such range (its *key* attribute) and
+// answers, per publication, "which parts' ranges contain this value" — the
+// candidates.
 // Candidates are then evaluated exactly by the unchanged compiled programs:
 // the index only decides what need not be evaluated (index what can be
 // bounded, verify exactly — the matching half of arXiv:1811.07088).
@@ -18,10 +18,14 @@
 // Windows are re-anchored on the match path (advance): a part whose window
 // ended before `now` moves forward by whole windows, so the first window's
 // id-hash stagger keeps re-anchoring spread evenly over publications. No
-// timers are scheduled. A window costs several exact evaluations to anchor,
-// so the owner suspend()s the index while publications are too sparse for
-// that to pay and evaluates the parts directly. See DESIGN.md §18 for the
-// soundness argument and the break-even.
+// timers are scheduled. A program that is a monotone chain in `t` (one `t`
+// load reached only through neg, floor, ceil, and +, -, *, / by finite
+// non-zero constants; see monotone_chain) is bounded by two exact
+// evaluations at the window's ends; other programs by the interval domain
+// (analysis/interval.hpp, outward-rounded). Anchoring still costs several
+// evaluations, so the owner suspend()s the index while publications are too
+// sparse for that to pay and evaluates the parts directly. See DESIGN.md §18
+// for the soundness argument and the break-even.
 //
 // Per attribute, ranges live in a uniform bucket grid over the axis with
 // clamped end buckets. A range is *narrow* when its endpoints' buckets are at
@@ -30,10 +34,15 @@
 // range holding v because b is monotone. Other ranges sit on a per-key wide
 // list that every stab scans; ranges that are empty (the part cannot match
 // during this window) sit on a dormant list that only fail-closed stabs
-// visit. Each entry also keeps its range on the second-narrowest attribute,
-// which filters the key's hits before they become candidates. The grid is re-tuned from the ranges themselves when the key's
-// population doubles or too many ranges drift outside it or go wide. Lists
-// are intrusive (links inside the entries), so steady-state re-anchoring and
+// visit. Each listed range also carries the part's range on the
+// second-narrowest attribute, which filters the key's hits before they
+// become candidates. The grid is re-tuned from the ranges themselves when the
+// key's population doubles (at once while a bulk of parts is first
+// anchored) or too many ranges drift outside it or go wide. Lists are contiguous arrays of stab records (both ranges rounded
+// outwards to float, and the slot); removal swaps the last record in, and
+// each part keeps its record's position. An array grows by a quarter, and
+// only past its largest size since the last re-tune, which gives back the
+// room of arrays holding under half of it: steady-state re-anchoring and
 // stabbing allocate nothing.
 //
 // Single-threaded: one index per LEES shard, touched only by that shard's
@@ -59,6 +68,14 @@ class EnvelopeIndex {
   /// only `t` and constants, and at least one predicate is not `!=`.
   [[nodiscard]] static bool indexable(std::span<const CompiledPredicate> preds,
                                       Duration window);
+
+  /// True when `prog` is a monotone chain in `t`: exactly one `t` load,
+  /// reached through a single path of neg, floor, ceil, + or - with a finite
+  /// constant, and * or / by a finite non-zero constant, where constants are
+  /// built from pushed constants and + - * / neg only. Every value such a
+  /// program computes for a `t` between two instants then lies between its
+  /// values at those instants, and none is NaN.
+  [[nodiscard]] static bool monotone_chain(const ExprProgram& prog);
 
   /// Register the part stored in caller slot `slot`. `preds` must stay valid
   /// (same address) until remove(slot). The part is anchored by the next
@@ -101,6 +118,8 @@ class EnvelopeIndex {
 
   /// Window anchorings performed (first anchors included).
   [[nodiscard]] std::uint64_t anchorings() const noexcept { return anchorings_; }
+  /// Stab records read by stab(), candidates included.
+  [[nodiscard]] std::uint64_t visited() const noexcept { return visited_; }
 
  private:
   static constexpr std::uint32_t kNil = 0xffffffffU;
@@ -111,21 +130,28 @@ class EnvelopeIndex {
   /// Windows longer than a day are cut to a day: envelopes only get tighter,
   /// and window arithmetic stays far from int64 overflow.
   static constexpr std::int64_t kMaxWindowUs = 86'400'000'000;
+  /// Predicates that can be anchored as chains (Entry::chains bits).
+  static constexpr std::size_t kMaxChains = 32;
+
+  /// What a stab reads of one listed part, contiguous per list. Ranges are
+  /// rounded outwards to float: they only filter, the programs decide.
+  struct Record {
+    float lo;   // allowed key-attribute range for this window
+    float hi;
+    float lo2;  // allowed range on the second-narrowest attribute
+    float hi2;
+    AttrId attr2;  // no second filter when invalid
+    std::uint32_t slot;
+  };
 
   struct Entry {
-    // Stab-hot fields first.
-    double lo = 0.0;  // allowed key-attribute range for this window
-    double hi = 0.0;
-    double lo2 = 0.0;  // allowed range on the second-narrowest attribute
-    double hi2 = 0.0;
-    std::uint32_t next = kNil;
-    std::uint32_t prev = kNil;
     std::uint32_t list = kNil;  // bucket index, kWide or kDormant
-    std::uint32_t key = kNil;   // keys_ index; kNil while unanchored
+    std::uint32_t key = kNil;   // keys_ index; kNil while unlisted
+    std::uint32_t pos = 0;      // its record's index in that list
     std::uint32_t stamp = 0;    // bumped per anchoring and removal (heap staleness)
-    AttrId attr2 = kInvalidAttrId;  // no second filter when invalid
     const CompiledPredicate* preds = nullptr;  // null: slot not registered
     std::uint32_t npreds = 0;
+    std::uint32_t chains = 0;   // bit i: predicate i is a monotone chain
     SimTime epoch{};
     std::int64_t window_us = 0;
     /// Window start a (the window is [a, a + W]); before the first anchoring,
@@ -138,11 +164,12 @@ class EnvelopeIndex {
     double origin = 0.0;
     double inv_width = 0.0;  // 0: untuned, everything in bucket 0
     double top = 0.0;        // grid extent [origin, top] at the last tune
-    std::vector<std::uint32_t> heads{kNil};
-    std::uint32_t wide_head = kNil;
-    std::uint32_t dormant_head = kNil;
+    /// The first `buckets` lists are the grid; the rest are empty.
+    std::vector<std::vector<Record>> lists{1};
+    std::uint32_t buckets = 1;
+    std::vector<Record> wide;
+    std::vector<Record> dormant;
     std::size_t count = 0;
-    std::size_t wide = 0;
     std::size_t tuned_count = 0;
     std::size_t tuned_wide = 0;
     std::size_t drift = 0;  // narrow inserts outside [origin, top] since the tune
@@ -166,16 +193,25 @@ class EnvelopeIndex {
 
   /// Anchor `slot` on the window of its grid (anchor_us + kW) holding `now_us`.
   void anchor(std::uint32_t slot, std::int64_t now_us);
-  void place(std::uint32_t slot, std::uint32_t key);
+  /// The list `record` belongs on under `key`'s grid.
+  [[nodiscard]] static std::uint32_t list_for(const Key& key, const Record& record) noexcept;
+  void place(const Record& record, std::uint32_t key);
   void unlink(std::uint32_t slot);
   [[nodiscard]] static bool degraded(const Key& key) noexcept;
   void retune(std::uint32_t key_index);
   [[nodiscard]] std::uint32_t key_for(AttrId attr);
   [[nodiscard]] static std::uint32_t bucket(const Key& key, double x) noexcept;
-  [[nodiscard]] std::uint32_t& head(Key& key, std::uint32_t list) noexcept;
-  void scan_list(std::uint32_t head, double v, const Publication& pub,
+  [[nodiscard]] static std::vector<Record>& list(Key& key, std::uint32_t list) noexcept;
+  /// Room for `size` records and a quarter more: lists grow by a quarter,
+  /// not twice, which bounds their slack.
+  static void reserve(std::vector<Record>& records, std::size_t size);
+  /// Reallocate a list holding under half its capacity to fit.
+  static void fit(std::vector<Record>& records);
+  void scan_list(const std::vector<Record>& records, double v, const Publication& pub,
                  std::vector<std::uint32_t>& out) const;
-  void append_list(std::uint32_t head, std::vector<std::uint32_t>& out) const;
+  void append_list(const std::vector<Record>& records, std::vector<std::uint32_t>& out) const;
+  /// Empty every list, keeping its capacity; every part becomes unlisted.
+  void unlist_all();
 
   std::vector<Entry> entries_;  // by caller slot
   std::vector<Key> keys_;
@@ -183,14 +219,15 @@ class EnvelopeIndex {
   std::vector<Due> due_;                // min-heap of window ends
   std::int64_t last_now_us_ = std::numeric_limits<std::int64_t>::min();
   std::uint64_t anchorings_ = 0;
+  mutable std::uint64_t visited_ = 0;
   std::size_t parts_ = 0;         // registered
   double windows_per_us_ = 0.0;   // sum of 1 / window over registered parts
   bool suspended_ = false;
   // Anchoring scratch (grown once, then reused).
+  std::vector<double> stack_;
   std::vector<Interval> iv_stack_;
   std::vector<AttrRange> ranges_;
   std::vector<double> widths_;
-  std::vector<std::uint32_t> slots_;
 };
 
 }  // namespace evps

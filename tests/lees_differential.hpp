@@ -13,8 +13,10 @@
 // LEES must never schedule a timer.
 //
 // run_lees_scenario decodes a byte string into a whole scenario — the
-// population (affine and nonlinear `t` programs, every operator, static and
-// split subscriptions, variable-reading parts, identical installs), then a
+// population (affine and nonlinear `t` programs, monotone chains that fall,
+// divide by a negative constant, round, negate or overflow to ±inf, every
+// operator, static and split subscriptions, variable-reading parts,
+// identical installs), then a
 // stream of publications (doubles, ints, strings, NaN, ±inf, missing
 // attributes, boundary values a bound evaluates to and their 1-ulp
 // neighbours, snapshots), clock steps that span several windows or go
@@ -174,10 +176,11 @@ inline std::string predicate(ScenarioBytes& in) {
   static const char* const kOps[] = {"<", "<=", ">", ">=", "=", "!="};
   const char* attr = (in.u8() & 1) != 0 ? "x" : "y";
   const char* op = kOps[in.u8() % 6];
-  const std::string c = num(in.in(-10.0, 10.0));
+  const double cv = in.in(-10.0, 10.0);
+  const std::string c = num(cv);
   const std::string r = num(in.in(-3.0, 3.0));
   std::string fn;
-  switch (in.u8() % 14) {
+  switch (in.u8() % 19) {
     case 0:
     case 1: fn = c + " + " + r + " * t"; break;                       // affine
     case 2: fn = c + " * sin(t)"; break;
@@ -191,6 +194,11 @@ inline std::string predicate(ScenarioBytes& in) {
     case 10: fn = "clamp(t * " + r + ", " + c + ", 4) + step(t - " + r + ")"; break;
     case 11: fn = c + " + t * t * " + r; break;                       // quadratic
     case 12: fn = "v + " + r + " * t"; break;                         // reads v: scan
+    case 13: fn = c + " - " + r + " * t"; break;                      // falling chain
+    case 14: fn = "(t * " + r + ") / " + num(-1.0 - std::fabs(cv)); break;  // c < 0
+    case 15: fn = "ceil(" + c + " - t * " + r + ")"; break;
+    case 16: fn = "-(" + c + " + " + r + " * t)"; break;              // negated chain
+    case 17: fn = c + " + t * 1e308 * " + r; break;                   // overflows to ±inf
     default:                                                          // static
       return (in.u8() & 1) != 0 ? std::string(attr) + " " + op + " " + c
                                 : std::string("s ") + ((in.u8() & 1) != 0 ? "=" : "!=") + " 'a'";

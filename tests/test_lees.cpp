@@ -210,7 +210,7 @@ TEST_F(LeesTest, ReanchoringAcrossWindowsSchedulesNothing) {
 }
 
 TEST_F(LeesTest, SparseTrafficRunsTheScanLoop) {
-  // Default fallback: 1 s windows need ~8 publications each to repay
+  // Default fallback: 1 s windows need ~4 publications each to repay
   // their re-anchoring.
   cfg.lees_envelope_min_pubs = EngineConfig{}.lees_envelope_min_pubs;
   LeesEngine adaptive{cfg};

@@ -6,6 +6,8 @@
 #include <random>
 
 #include "analysis/audit/snapshot.hpp"
+#include "evolving/envelope_index.hpp"
+#include "expr/parser.hpp"
 #include "lees_differential.hpp"
 #include "test_util.hpp"
 
@@ -255,6 +257,199 @@ TEST_P(LeesEnvelope, RandomScenarios) {
     bytes[0] = static_cast<std::uint8_t>((bytes[0] & ~1U) | (GetParam() > 1 ? 1U : 0U));
     const std::string bad = testutil::run_lees_scenario(bytes.data(), bytes.size());
     ASSERT_TRUE(bad.empty()) << "scenario " << scenario << ": " << bad;
+  }
+}
+
+
+// Endpoint anchoring and the stab records, on the index itself.
+
+bool chain(const ExprPtr& expr) {
+  return EnvelopeIndex::monotone_chain(ExprProgram::compile(*expr));
+}
+bool chain(std::string_view text) { return chain(parse_expr(text)); }
+
+TEST(EnvelopeChain, AcceptsMonotoneChains) {
+  for (const char* text :
+       {"t", "3 + 2 * t", "3 + -2 * t", "-3 + t * 0.5", "3 - 2 * t", "3 - t * -2", "t - 4",
+        "(t * 2) / -4", "(2 * t) / -4 + 1", "t / 3", "-(1 + t * 3)", "-(3 - 2 * t) * 5",
+        "floor(t * 2) + 1", "ceil(0.5 - t)", "floor(ceil(t) * -3)", "-floor(-t)",
+        "1e308 * t", "t * 1e300 * 1e10", "-1.7e308 + t * 1e300", "t * 1e-300 * 1e-300"}) {
+    EXPECT_TRUE(chain(text)) << text;
+  }
+  // Constant subtrees the parser would fold, kept as arithmetic.
+  const ExprPtr t = Expr::variable("t");
+  EXPECT_TRUE(chain(Expr::add(Expr::mul(Expr::constant(2), Expr::constant(-3)), t)));
+  EXPECT_TRUE(chain(Expr::div(t, Expr::sub(Expr::constant(1), Expr::constant(3)))));
+  EXPECT_TRUE(chain(Expr::mul(Expr::unary(UnaryOp::kNeg, Expr::constant(2)), t)));
+}
+
+TEST(EnvelopeChain, RejectsEverythingElse) {
+  for (const char* text :
+       {"t - t", "t + t", "t * t", "2 / t", "1 / (t - 1)", "sin(t)", "cos(t)", "abs(t)",
+        "abs(t) + 1", "sin(t) * 2", "sqrt(t)", "sign(t)", "min(t, 1)", "max(t, 1)",
+        "clamp(t, 0, 1)", "step(t)", "step(t) + t", "t % 2", "t ^ 2", "2 ^ t", "0 * t", "t * 0",
+        "t / 0", "t * -0", "t + 1e308 * 10", "t * (1e308 * 10)", "t + 0 / 0", "t * (0 / 0)",
+        "5", "1 + v", "t + v", "v * t"}) {
+    EXPECT_FALSE(chain(text)) << text;
+  }
+  const ExprPtr t = Expr::variable("t");
+  const auto c = [](double v) { return Expr::constant(v); };
+  EXPECT_FALSE(chain(Expr::add(Expr::unary(UnaryOp::kFloor, c(2.5)), t)));  // floor of a constant
+  EXPECT_FALSE(chain(Expr::mul(t, Expr::sub(c(1), c(1)))));                 // a zero multiplier
+  EXPECT_FALSE(chain(Expr::div(t, Expr::mul(c(1e-300), c(1e-300)))));       // underflows to 0
+  EXPECT_FALSE(chain(Expr::add(t, Expr::div(c(1), c(0)))));                 // +inf
+  EXPECT_FALSE(chain(Expr::call(CallFn::kMax, {t, c(1)})));
+}
+
+/// One part with one `x = f` predicate per expression, on the index alone.
+struct IndexedParts {
+  std::vector<std::vector<CompiledPredicate>> preds;
+  EnvelopeIndex index;
+};
+
+/// Publication {x: v}.
+Publication at_x(double v) {
+  Publication pub;
+  pub.set("x", Value{v});
+  return pub;
+}
+
+/// A random monotone chain in `t`: up to six steps, with constants from
+/// tiny to large enough to overflow to ±inf inside the window.
+ExprPtr random_chain(std::mt19937_64& rng) {
+  static const double kScales[] = {1e-300, 1e-6, 0.5, 1.0, 7.0, 1e6, 1e150, 1e300, 8e307};
+  const auto constant = [&rng] {
+    const double c = kScales[rng() % 9] * (1.0 + static_cast<double>(rng() % 1000) / 1000.0);
+    return Expr::constant((rng() & 1) != 0 ? c : -c);
+  };
+  ExprPtr e = Expr::variable("t");
+  const int steps = 1 + static_cast<int>(rng() % 6);
+  for (int i = 0; i < steps; ++i) {
+    switch (rng() % 10) {
+      case 0: e = Expr::unary(UnaryOp::kNeg, e); break;
+      case 1: e = Expr::unary(UnaryOp::kFloor, e); break;
+      case 2: e = Expr::unary(UnaryOp::kCeil, e); break;
+      case 3: e = Expr::add(e, constant()); break;
+      case 4: e = Expr::add(constant(), e); break;
+      case 5: e = Expr::sub(e, constant()); break;
+      case 6: e = Expr::sub(constant(), e); break;
+      case 7: e = Expr::mul(e, constant()); break;
+      case 8: e = Expr::mul(constant(), e); break;
+      default: e = Expr::div(e, constant()); break;
+    }
+  }
+  return e;
+}
+
+TEST(EnvelopeChain, EveryValueInAWindowLiesInItsAnchoredRange) {
+  // For each chain, every exact evaluation on the microsecond grid of a
+  // window must reach its part through the index: the anchored range holds
+  // it. Windows sit on multiples of W (stagger 0).
+  std::mt19937_64 rng(0xc4a1);
+  for (int round = 0; round < 300; ++round) {
+    const ExprPtr expr = random_chain(rng);
+    IndexedParts parts;
+    parts.preds.push_back({CompiledPredicate(Predicate{"x", RelOp::kEq, expr})});
+    ASSERT_TRUE(EnvelopeIndex::monotone_chain(parts.preds[0][0].program())) << expr->to_string();
+    const std::int64_t window_us = 1 + static_cast<std::int64_t>(rng() % 3000);
+    const SimTime epoch = SimTime::from_micros(static_cast<std::int64_t>(rng() % 5'000'000));
+    const std::int64_t start_us = window_us * static_cast<std::int64_t>(rng() % 4000);
+    parts.index.add(0, parts.preds[0], epoch, Duration::micros(window_us), 0);
+    std::vector<std::uint32_t> out;
+    std::vector<double> stack;
+    for (std::int64_t us = start_us; us <= start_us + window_us; ++us) {
+      parts.index.advance(SimTime::from_micros(us));
+      const double v = parts.preds[0][0].program().eval(
+          EvalScope(nullptr, SimTime::from_micros(us), epoch), stack);
+      ASSERT_FALSE(std::isnan(v)) << expr->to_string();
+      out.clear();
+      parts.index.stab(at_x(v), out);
+      ASSERT_EQ(out.size(), 1u) << expr->to_string() << " = " << v << " at " << us << " us, window ["
+                                << start_us << ", " << start_us + window_us << "], epoch "
+                                << epoch;
+    }
+    EXPECT_EQ(parts.index.anchorings(), 1u);  // one window covered every instant
+  }
+}
+
+TEST(EnvelopeChain, DecreasingAndOverflowingChainsAnchorBothWays) {
+  // Chains that fall over the window, cross zero, or overflow to ±inf in it.
+  IndexedParts parts;
+  for (const char* text : {"5 - 3 * t", "(t * 2) / -4", "-(t * 1e308)", "1e308 * t - 1e308",
+                           "ceil(-t * 1000)", "-floor(t * 1e300 * 1e10)"}) {
+    parts.preds.push_back({CompiledPredicate(Predicate{"x", RelOp::kEq, parse_expr(text)})});
+  }
+  for (std::uint32_t slot = 0; slot < parts.preds.size(); ++slot) {
+    ASSERT_TRUE(EnvelopeIndex::monotone_chain(parts.preds[slot][0].program())) << slot;
+    parts.index.add(slot, parts.preds[slot], SimTime::zero(), Duration::millis(1500), 0);
+  }
+  std::vector<double> stack;
+  std::vector<std::uint32_t> out;
+  for (std::int64_t us = 0; us <= 3'000'000; us += 1'000) {
+    parts.index.advance(SimTime::from_micros(us));
+    for (std::uint32_t slot = 0; slot < parts.preds.size(); ++slot) {
+      const double v = parts.preds[slot][0].program().eval(
+          EvalScope(nullptr, SimTime::from_micros(us), SimTime::zero()), stack);
+      out.clear();
+      parts.index.stab(at_x(v), out);
+      EXPECT_NE(std::find(out.begin(), out.end(), slot), out.end())
+          << "slot " << slot << " value " << v << " at " << us << " us";
+    }
+  }
+}
+
+TEST(EnvelopeRecords, ChurnKeepsEveryListedPartReachable) {
+  // Many parts crowd few buckets; removals swap records around inside a
+  // list. Each stab must return exactly the registered parts whose range
+  // holds the value, once each.
+  constexpr std::uint32_t kSlots = 400;
+  std::mt19937_64 rng(0x5ab);
+  IndexedParts parts;
+  parts.preds.resize(kSlots);
+  std::vector<bool> live(kSlots, false);
+  std::vector<double> centre(kSlots, 0.0);
+  const auto install = [&](std::uint32_t slot) {
+    centre[slot] = static_cast<double>(rng() % 40);
+    const std::string c = std::to_string(centre[slot]);
+    parts.preds[slot] = {
+        CompiledPredicate(Predicate{"x", RelOp::kGe, parse_expr(c + " - 1 + 0 * t")}),
+        CompiledPredicate(Predicate{"x", RelOp::kLe, parse_expr(c + " + 1 + t * 1e-9")})};
+    parts.index.add(slot, parts.preds[slot], SimTime::zero(), Duration::millis(7), rng());
+    live[slot] = true;
+  };
+  for (std::uint32_t slot = 0; slot < kSlots; ++slot) {
+    if (rng() % 2 == 0) install(slot);
+  }
+  std::vector<std::uint32_t> out;
+  std::int64_t now_us = 0;
+  for (int step = 0; step < 3000; ++step) {
+    const auto slot = static_cast<std::uint32_t>(rng() % kSlots);
+    if (live[slot]) {
+      parts.index.remove(slot);
+      live[slot] = false;
+    } else {
+      install(slot);
+    }
+    now_us += static_cast<std::int64_t>(rng() % 3000);
+    parts.index.advance(SimTime::from_micros(now_us));
+    const double v = static_cast<double>(rng() % 4200) / 100.0;
+    out.clear();
+    parts.index.stab(at_x(v), out);
+    std::vector<std::uint32_t> expected;
+    for (std::uint32_t s = 0; s < kSlots; ++s) {
+      if (live[s] && centre[s] - 1 <= v && v <= centre[s] + 1 + 1e-3) expected.push_back(s);
+    }
+    std::sort(out.begin(), out.end());
+    // The index may add parts within float rounding of their range's edge;
+    // it must never drop one or list one twice or list a removed one.
+    ASSERT_TRUE(std::includes(out.begin(), out.end(), expected.begin(), expected.end()))
+        << "step " << step << " value " << v;
+    ASSERT_EQ(std::adjacent_find(out.begin(), out.end()), out.end()) << "step " << step;
+    for (const std::uint32_t s : out) {
+      ASSERT_TRUE(live[s]) << "removed slot " << s << " at step " << step;
+      ASSERT_LE(centre[s] - 1 - 1e-3, v);
+      ASSERT_LE(v, centre[s] + 1 + 1e-3);
+    }
   }
 }
 
