@@ -36,7 +36,6 @@ evps_bench(fig10ab_throughput)
 evps_bench(fig10c_visibility)
 evps_bench(table1_summary)
 evps_bench(ablation_hybrid)
-evps_bench(ablation_matcher)
 evps_bench(routing_covering)
 # The covering-routing bench is cheap and self-checking (nonzero exit when
 # covering on/off delivery logs diverge): run it whole as a smoke test.

@@ -8,7 +8,6 @@
 #include "common/rng.hpp"
 #include "gbench_main.hpp"
 #include "matching/brute_force_matcher.hpp"
-#include "matching/churn_matcher.hpp"
 #include "matching/counting_matcher.hpp"
 #include "matching/sharded_matcher.hpp"
 
@@ -49,7 +48,6 @@ void BM_Match(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_Match<CountingMatcher>)->Arg(100)->Arg(1000)->Arg(10000);
-BENCHMARK(BM_Match<ChurnMatcher>)->Arg(100)->Arg(1000)->Arg(10000);
 BENCHMARK(BM_Match<BruteForceMatcher>)->Arg(100)->Arg(1000)->Arg(10000);
 
 template <typename M>
@@ -69,7 +67,6 @@ void BM_VersionReplacement(benchmark::State& state) {
   benchmark::DoNotOptimize(matcher.size());
 }
 BENCHMARK(BM_VersionReplacement<CountingMatcher>)->Arg(100)->Arg(1000)->Arg(10000);
-BENCHMARK(BM_VersionReplacement<ChurnMatcher>)->Arg(100)->Arg(1000)->Arg(10000);
 
 void BM_EqualityHeavyMatch(benchmark::State& state) {
   // HFT-style: string equality fan-out over 500 symbols plus price bands.
@@ -120,7 +117,6 @@ void BM_LargePopulationMatch(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_LargePopulationMatch<CountingMatcher>);
-BENCHMARK(BM_LargePopulationMatch<ChurnMatcher>);
 
 std::vector<MatcherBatchEntry> aoi_batch(std::size_t n, Rng& rng, std::uint64_t first_id = 1) {
   std::vector<MatcherBatchEntry> batch;
@@ -152,7 +148,6 @@ void BM_MaintenanceSweep(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_MaintenanceSweep<CountingMatcher>)->Arg(10000)->Arg(100000)->Arg(1000000);
-BENCHMARK(BM_MaintenanceSweep<ChurnMatcher>)->Arg(10000)->Arg(100000)->Arg(1000000);
 
 void BM_BulkRebuild(benchmark::State& state) {
   // Args: {population, wave}. One VES evolution wave: `wave` subscriptions

@@ -1,13 +1,30 @@
 #include "broker/broker.hpp"
 
 #include <algorithm>
+#include <iostream>
+#include <mutex>
+#include <sstream>
 
 #include "analysis/analyzer.hpp"
-#include "common/logging.hpp"
 
 namespace evps {
 
 namespace {
+// Operator-facing warnings (rejected or flagged subscriptions, dropped
+// messages): one "[WARN] <broker>: ..." line on std::clog each, serialised
+// across brokers of simulations that run on concurrent threads.
+std::mutex warn_mutex;
+
+template <typename... Args>
+void warn(const std::string& broker, const Args&... args) {
+  std::ostringstream os;
+  os << "[WARN] " << broker << ": ";
+  (os << ... << args);
+  os << '\n';
+  const std::scoped_lock lock(warn_mutex);
+  std::clog << os.str();
+}
+
 LinkBatcher::Config resolve_link_config(BrokerConfig& config) {
   // 0 resolves the EVPS_LINK_BATCH environment variable (default 1), stored
   // back so config() reports the effective value — the matcher_threads
@@ -107,7 +124,7 @@ void Broker::on_message(const Envelope& env) {
         } else if constexpr (std::is_same_v<T, VarUpdateMsg>) {
           handle_var_update(msg, env.from);
         } else {
-          EVPS_WARN(name_, "unexpected message kind: ", message_kind(env.msg));
+          warn(name_, "unexpected message kind: ", message_kind(env.msg));
         }
       },
       env.msg);
@@ -222,25 +239,25 @@ SubscriptionPtr Broker::analyze_incoming(const SubscriptionPtr& sub) {
   switch (analysis.verdict) {
     case Verdict::kMalformed:
       ++analysis_counters_.rejected_malformed;
-      EVPS_WARN(name_, "subscription ", sub->id(), " malformed: ", analysis.diagnostic);
+      warn(name_, "subscription ", sub->id(), " malformed: ", analysis.diagnostic);
       if (enforce) return nullptr;
       break;
     case Verdict::kUnsatisfiable:
       ++analysis_counters_.rejected_unsatisfiable;
-      EVPS_WARN(name_, "subscription ", sub->id(), " unsatisfiable: ", analysis.diagnostic);
+      warn(name_, "subscription ", sub->id(), " unsatisfiable: ", analysis.diagnostic);
       if (enforce) return nullptr;
       break;
     case Verdict::kRelUnsatisfiable:
       ++analysis_counters_.rejected_rel_unsatisfiable;
-      EVPS_WARN(name_, "subscription ", sub->id(),
-                " relationally unsatisfiable: ", analysis.diagnostic);
+      warn(name_, "subscription ", sub->id(),
+           " relationally unsatisfiable: ", analysis.diagnostic);
       if (enforce) return nullptr;
       break;
     case Verdict::kAdUncovered:
       // Satisfiable, so it stays installed (a covering advertisement may
       // still arrive) — but flagged: it cannot match today.
       ++analysis_counters_.flagged_uncovered;
-      EVPS_WARN(name_, "subscription ", sub->id(), " uncovered: ", analysis.diagnostic);
+      warn(name_, "subscription ", sub->id(), " uncovered: ", analysis.diagnostic);
       break;
     case Verdict::kConstant:
       // Folding anchors bounds at broker-local install-time state; under
@@ -255,7 +272,7 @@ SubscriptionPtr Broker::analyze_incoming(const SubscriptionPtr& sub) {
       // Advisory only: behaviour is identical with or without the entailed
       // predicate, so the subscription installs as-is.
       ++analysis_counters_.flagged_redundant;
-      EVPS_WARN(name_, "subscription ", sub->id(), " redundant: ", analysis.diagnostic);
+      warn(name_, "subscription ", sub->id(), " redundant: ", analysis.diagnostic);
       break;
     case Verdict::kOk:
       break;
@@ -291,8 +308,8 @@ void Broker::handle_update(const SubscriptionUpdateMsg& msg, NodeId from) {
   // silently loses the promoted children's re-dissemination later.
   if (const SubscriptionPtr current = engine_->subscription_of(msg.id);
       current && msg.new_values.size() > current->predicates().size()) {
-    EVPS_WARN(name_, "subscription update ", msg.id,
-              " carries more values than predicates; dropped");
+    warn(name_, "subscription update ", msg.id,
+         " carries more values than predicates; dropped");
     return;
   }
   // A parametric update changes the match set, so every covering relation

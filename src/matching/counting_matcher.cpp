@@ -4,7 +4,6 @@
 #include <cmath>
 
 #include "matching/brute_force_matcher.hpp"
-#include "matching/churn_matcher.hpp"
 
 namespace evps {
 
@@ -320,7 +319,6 @@ MatcherPtr make_matcher(MatcherKind kind) {
   switch (kind) {
     case MatcherKind::kBruteForce: return std::make_unique<BruteForceMatcher>();
     case MatcherKind::kCounting: return std::make_unique<CountingMatcher>();
-    case MatcherKind::kChurn: return std::make_unique<ChurnMatcher>();
   }
   throw std::invalid_argument("unknown matcher kind");
 }

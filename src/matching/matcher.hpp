@@ -108,9 +108,7 @@ using MatcherPtr = std::unique_ptr<Matcher>;
 ///   * kBruteForce — linear-scan oracle (tests, baselines)
 ///   * kCounting   — paged per-attribute interval indexes: fast match,
 ///                   O(log n) insert/remove, bulk add_batch (the default)
-///   * kChurn      — unordered buckets: O(1) amortised insert/remove for
-///                   high subscription churn [10], linear-ish match
-enum class MatcherKind { kBruteForce, kCounting, kChurn };
+enum class MatcherKind { kBruteForce, kCounting };
 
 [[nodiscard]] MatcherPtr make_matcher(MatcherKind kind);
 

@@ -15,7 +15,7 @@ namespace evps {
 /// Streaming summary of a sequence of doubles. Non-finite samples (NaN,
 /// ±inf) are rejected — counted in `rejected()` but kept out of every
 /// moment, so one corrupt sample cannot poison an aggregate that is later
-/// merged fleet-wide.
+/// merged fleet-wide. Spread is `OnlineStats`' job (stats/online_stats.hpp).
 class Summary {
  public:
   void record(double x) noexcept {
@@ -25,7 +25,6 @@ class Summary {
     }
     ++count_;
     sum_ += x;
-    sum_sq_ += x * x;
     min_ = std::min(min_, x);
     max_ = std::max(max_, x);
   }
@@ -36,18 +35,11 @@ class Summary {
   [[nodiscard]] double mean() const noexcept { return count_ == 0 ? 0.0 : sum_ / static_cast<double>(count_); }
   [[nodiscard]] double min() const noexcept { return count_ == 0 ? 0.0 : min_; }
   [[nodiscard]] double max() const noexcept { return count_ == 0 ? 0.0 : max_; }
-  [[nodiscard]] double variance() const noexcept {
-    if (count_ < 2) return 0.0;
-    const double n = static_cast<double>(count_);
-    return std::max(0.0, (sum_sq_ - sum_ * sum_ / n) / (n - 1));
-  }
-  [[nodiscard]] double stddev() const noexcept { return std::sqrt(variance()); }
 
   void merge(const Summary& other) noexcept {
     rejected_ += other.rejected_;
     count_ += other.count_;
     sum_ += other.sum_;
-    sum_sq_ += other.sum_sq_;
     min_ = std::min(min_, other.min_);
     max_ = std::max(max_, other.max_);
   }
@@ -58,7 +50,6 @@ class Summary {
   std::uint64_t count_ = 0;
   std::uint64_t rejected_ = 0;
   double sum_ = 0;
-  double sum_sq_ = 0;
   double min_ = std::numeric_limits<double>::infinity();
   double max_ = -std::numeric_limits<double>::infinity();
 };

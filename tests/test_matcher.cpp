@@ -2,7 +2,6 @@
 
 #include "expr/parser.hpp"
 #include "matching/brute_force_matcher.hpp"
-#include "matching/churn_matcher.hpp"
 #include "matching/counting_matcher.hpp"
 #include "message/codec.hpp"
 
@@ -119,24 +118,14 @@ TEST_P(MatcherKinds, ReAddAfterRemove) {
 }
 
 INSTANTIATE_TEST_SUITE_P(AllMatchers, MatcherKinds,
-                         ::testing::Values(MatcherKind::kBruteForce, MatcherKind::kCounting,
-                                           MatcherKind::kChurn),
+                         ::testing::Values(MatcherKind::kBruteForce, MatcherKind::kCounting),
                          [](const auto& info) {
                            switch (info.param) {
                              case MatcherKind::kBruteForce: return "BruteForce";
                              case MatcherKind::kCounting: return "Counting";
-                             case MatcherKind::kChurn: return "Churn";
                            }
                            return "unknown";
                          });
-
-TEST(ChurnMatcher, PredicateCountTracked) {
-  ChurnMatcher m;
-  m.add(SubscriptionId{1}, preds({"x > 0", "y < 3"}));
-  EXPECT_EQ(m.predicate_count(), 2u);
-  m.remove(SubscriptionId{1});
-  EXPECT_EQ(m.predicate_count(), 0u);
-}
 
 TEST(CountingMatcher, PredicateCountTracked) {
   CountingMatcher m;

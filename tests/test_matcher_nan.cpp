@@ -9,8 +9,7 @@
 //     entry (now quarantined into the misc scan list).
 //   * NaN-keyed eq_num entries leaked on remove — find(NaN) never succeeds
 //     on a double-keyed hash map — leaving stale entries aimed at recycled
-//     slots (CountingMatcher) or stale back-references able to corrupt a
-//     reused slot's location table (ChurnMatcher).
+//     slots.
 //   * A NaN *publication* value spuriously satisfied every <= / >= bound
 //     (NaN degenerates lower_bound/upper_bound partitions).
 //   * A `!= NaN` predicate could not be removed (Value::operator== is false
@@ -23,7 +22,6 @@
 
 #include "common/rng.hpp"
 #include "matching/brute_force_matcher.hpp"
-#include "matching/churn_matcher.hpp"
 #include "matching/counting_matcher.hpp"
 #include "matching/sharded_matcher.hpp"
 
@@ -64,8 +62,8 @@ TEST(NanBound, RemovingOneNanBoundSubscriptionLeavesOthersIntact) {
 // A NaN equality or kNe constant must be fully unindexed on remove; the
 // recycled slot is then re-used by an unrelated subscription which must not
 // inherit any stale entry.
-template <typename M>
-void nan_remove_then_reuse_slot(M& m) {
+TEST(NanEqLeak, CountingRemoveThenReuseSlot) {
+  CountingMatcher m;
   m.add(SubscriptionId{1}, {Predicate{"x", RelOp::kEq, Value{kNaN}}});
   // NaN == NaN is false under content-based semantics: never matches.
   EXPECT_TRUE(hits(m, Publication{{"x", Value{kNaN}}}).empty());
@@ -81,18 +79,8 @@ void nan_remove_then_reuse_slot(M& m) {
   EXPECT_EQ(m.indexed_entry_count(), 0u);
 }
 
-TEST(NanEqLeak, CountingRemoveThenReuseSlot) {
+TEST(NanNeGhost, CountingRemoveUnindexesNeNan) {
   CountingMatcher m;
-  nan_remove_then_reuse_slot(m);
-}
-
-TEST(NanEqLeak, ChurnRemoveThenReuseSlot) {
-  ChurnMatcher m;
-  nan_remove_then_reuse_slot(m);
-}
-
-template <typename M>
-void nan_ne_ghost(M& m) {
   // `x != NaN` is satisfied by EVERY x value (incomparable => kNe holds).
   m.add(SubscriptionId{1}, {Predicate{"x", RelOp::kNe, Value{kNaN}}});
   EXPECT_EQ(hits(m, Publication{{"x", Value{1.0}}}), Ids{SubscriptionId{1}});
@@ -108,21 +96,10 @@ void nan_ne_ghost(M& m) {
   EXPECT_EQ(hits(m, Publication{{"y", Value{1}}}), Ids{SubscriptionId{9}});
 }
 
-TEST(NanNeGhost, CountingRemoveUnindexesNeNan) {
-  CountingMatcher m;
-  nan_ne_ghost(m);
-}
-
-TEST(NanNeGhost, ChurnRemoveUnindexesNeNan) {
-  ChurnMatcher m;
-  nan_ne_ghost(m);
-}
-
 TEST(NanPublication, SatisfiesOnlyNePredicates) {
   // A NaN publication value used to fall through the bound-list binary
   // searches with a NaN pivot, spuriously hitting every <= / >= bound.
   CountingMatcher counting;
-  ChurnMatcher churn;
   BruteForceMatcher oracle;
   const std::vector<std::pair<RelOp, double>> preds{
       {RelOp::kLt, 5.0}, {RelOp::kLe, 5.0}, {RelOp::kGt, 5.0},
@@ -133,24 +110,21 @@ TEST(NanPublication, SatisfiesOnlyNePredicates) {
     const std::vector<Predicate> p{Predicate{"x", op, Value{bound}}};
     oracle.add(SubscriptionId{id}, p);
     counting.add(SubscriptionId{id}, p);
-    churn.add(SubscriptionId{id}, p);
     ++id;
   }
   const Publication pub{{"x", Value{kNaN}}};
   const Ids expected = oracle.match(pub);
   EXPECT_EQ(expected, Ids{SubscriptionId{6}});  // only x != 5
   EXPECT_EQ(counting.match(pub), expected);
-  EXPECT_EQ(churn.match(pub), expected);
 }
 
 TEST(NonFiniteAgreement, ExhaustiveOperatorBoundValueCross) {
   // Every operator crossed with every special bound, matched against every
-  // special publication value: the indexed matchers must agree with the
+  // special publication value: the counting matcher must agree with the
   // oracle cell by cell.
   const double specials[] = {-kInf, -1.5, -0.0, 0.0, 1.5, kInf, kNaN};
   BruteForceMatcher oracle;
   CountingMatcher counting;
-  ChurnMatcher churn;
   std::uint64_t id = 1;
   for (int op = 0; op < 6; ++op) {
     for (const double bound : specials) {
@@ -158,7 +132,6 @@ TEST(NonFiniteAgreement, ExhaustiveOperatorBoundValueCross) {
           Predicate{"x", static_cast<RelOp>(op), Value{bound}}};
       oracle.add(SubscriptionId{id}, p);
       counting.add(SubscriptionId{id}, p);
-      churn.add(SubscriptionId{id}, p);
       ++id;
     }
   }
@@ -166,15 +139,12 @@ TEST(NonFiniteAgreement, ExhaustiveOperatorBoundValueCross) {
     const Publication pub{{"x", Value{v}}};
     const Ids expected = oracle.match(pub);
     ASSERT_EQ(counting.match(pub), expected) << "value " << v;
-    ASSERT_EQ(churn.match(pub), expected) << "value " << v;
   }
   // Tear down completely: no entry may survive.
   for (std::uint64_t i = 1; i < id; ++i) {
     EXPECT_TRUE(counting.remove(SubscriptionId{i}));
-    EXPECT_TRUE(churn.remove(SubscriptionId{i}));
   }
   EXPECT_EQ(counting.indexed_entry_count(), 0u);
-  EXPECT_EQ(churn.indexed_entry_count(), 0u);
 }
 
 TEST(NegativeZero, CrossSpellingBoundsRemoveIndependently) {

@@ -9,7 +9,6 @@
 
 #include "common/rng.hpp"
 #include "matching/brute_force_matcher.hpp"
-#include "matching/churn_matcher.hpp"
 #include "matching/counting_matcher.hpp"
 
 namespace evps {
@@ -64,7 +63,6 @@ TEST_P(MatcherAgreement, CountingEqualsBruteForce) {
   Rng rng{seed};
   BruteForceMatcher oracle;
   CountingMatcher counting;
-  ChurnMatcher churn;
 
   std::vector<SubscriptionId> live;
   std::uint64_t next_id = 1;
@@ -80,7 +78,6 @@ TEST_P(MatcherAgreement, CountingEqualsBruteForce) {
       for (std::int64_t i = 0; i < n; ++i) preds.push_back(random_predicate(rng));
       oracle.add(id, preds);
       counting.add(id, preds);
-      churn.add(id, preds);
       live.push_back(id);
     } else if (roll < 0.55) {
       const auto idx = static_cast<std::size_t>(
@@ -89,15 +86,12 @@ TEST_P(MatcherAgreement, CountingEqualsBruteForce) {
       live.erase(live.begin() + static_cast<std::ptrdiff_t>(idx));
       EXPECT_EQ(oracle.remove(id), true);
       EXPECT_EQ(counting.remove(id), true);
-      EXPECT_EQ(churn.remove(id), true);
     } else {
       const Publication pub = random_publication(rng);
       const auto expected = oracle.match(pub);
       ASSERT_EQ(counting.match(pub), expected) << "pub " << pub.to_string() << " seed " << seed;
-      ASSERT_EQ(churn.match(pub), expected) << "pub " << pub.to_string() << " seed " << seed;
     }
     ASSERT_EQ(counting.size(), oracle.size());
-    ASSERT_EQ(churn.size(), oracle.size());
   }
 }
 

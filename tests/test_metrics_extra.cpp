@@ -247,8 +247,6 @@ TEST(SummaryGuard, EmptyAndSingleSample) {
   s.record(4.0);
   EXPECT_EQ(s.count(), 1u);
   EXPECT_DOUBLE_EQ(s.mean(), 4.0);
-  EXPECT_EQ(s.variance(), 0.0);  // undefined below two samples
-  EXPECT_EQ(s.stddev(), 0.0);
 }
 
 TEST(SummaryGuard, NonFiniteSamplesAreRejectedNotAbsorbed) {
@@ -265,7 +263,6 @@ TEST(SummaryGuard, NonFiniteSamplesAreRejectedNotAbsorbed) {
   EXPECT_DOUBLE_EQ(s.mean(), 2.0);
   EXPECT_DOUBLE_EQ(s.min(), 1.0);
   EXPECT_DOUBLE_EQ(s.max(), 3.0);
-  EXPECT_TRUE(std::isfinite(s.variance()));
 
   Summary other;
   other.record(kNaN);

@@ -11,7 +11,6 @@ TEST(Summary, EmptyDefaults) {
   EXPECT_EQ(s.mean(), 0.0);
   EXPECT_EQ(s.min(), 0.0);
   EXPECT_EQ(s.max(), 0.0);
-  EXPECT_EQ(s.stddev(), 0.0);
 }
 
 TEST(Summary, BasicMoments) {
@@ -22,7 +21,6 @@ TEST(Summary, BasicMoments) {
   EXPECT_DOUBLE_EQ(s.mean(), 2.5);
   EXPECT_DOUBLE_EQ(s.min(), 1.0);
   EXPECT_DOUBLE_EQ(s.max(), 4.0);
-  EXPECT_NEAR(s.variance(), 5.0 / 3.0, 1e-12);
 }
 
 TEST(Summary, Merge) {

@@ -52,7 +52,6 @@ bool parse_system(const std::string& name, SystemKind& out) {
 bool parse_matcher(const std::string& name, MatcherKind& out) {
   if (name == "brute") out = MatcherKind::kBruteForce;
   else if (name == "counting") out = MatcherKind::kCounting;
-  else if (name == "churn") out = MatcherKind::kChurn;
   else return false;
   return true;
 }
@@ -226,7 +225,7 @@ int main(int argc, char** argv) {
         << "  --seed=R                 root seed (default 1)\n"
         << "  --workers=N              worker threads incl. caller (default 1)\n"
         << "  --engine=KIND            resub|parametric|ves|lees|clees|hybrid (default lees)\n"
-        << "  --matcher=KIND           brute|counting|churn (default counting)\n"
+        << "  --matcher=KIND           brute|counting (default counting)\n"
         << "  --routing=MODE           flooding|advertisement, hft only (default flooding)\n"
         << "  --shards=N               matcher shards per broker (default 0 = single)\n"
         << "  --batch=N                broker publication batch size (default 1)\n"
